@@ -3,14 +3,14 @@ Hamiltonian, coherent detuning errors, and stabilization by balanced-weight
 error-avoiding codes."""
 
 from .statevec import (DenseOperator, StateVector, apply, basis_state,
-                       embed_single_qubit, evolve_grid, hermitian_evolve,
-                       inner_product)
-from .gates import (GateSpec, cnot, h_tilde, hadamard, oracle, pauli,
-                    phase_inversion, phase_inversion_via_oracle)
-from .grover import (GroverInstance, OptimalIterations, grover_step,
-                     optimal_iterations, rotation_angle, run_grover,
-                     success_amplitude, success_probabilities,
-                     success_probability, two_level_matrix)
+                       embed_single_qubit, evolve_grid, inner_product)
+from .gates import (cnot, h_tilde, hadamard, oracle, pauli, phase_inversion,
+                    phase_inversion_via_oracle, walsh_hadamard)
+from .grover import (GroverInstance, OptimalIterations, apply_step,
+                     grover_step, optimal_iterations, rotation_angle,
+                     run_grover, step_iterates, success_amplitude,
+                     success_probabilities, success_probability,
+                     two_level_matrix)
 from .hamiltonian import (DetuningProfile, GroverHamiltonian,
                           detuning_hamiltonian, evolve_with_errors,
                           grover_hamiltonian, trotter_error)

@@ -26,7 +26,7 @@ from . import dfs, gates
 from .grover import GroverInstance
 from .hamiltonian import (DEFAULT_GRID_POINTS, DetuningProfile,
                           coupled_success_series, detuning_diagonal,
-                          evolve_with_errors)
+                          evolve_with_errors, time_grid)
 from .statevec import DenseOperator, apply, basis_state
 
 # Detunings of the 8-qubit benchmark, in units of <s|v>/tau = 2^-4.
@@ -105,7 +105,7 @@ def search_window(logical_qubits: int, t_max: float | None = None,
     """Default max-probability window [0, 2 * ideal peak time] of the logical system."""
     if t_max is None:
         t_max = 2.0 * ideal_peak_time(logical_qubits)
-    return np.linspace(0.0, t_max, points)
+    return time_grid(t_max, points)
 
 
 def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -135,12 +135,11 @@ def _encoded_series(m_phys: int, profile: DetuningProfile, x0_logical: int,
         raise ValueError(f"logical marked item {x0_logical} out of range for {l} qubits")
     if profile.num_qubits != m_phys:
         raise ValueError(f"profile has {profile.num_qubits} detunings, expected {m_phys}")
-    eps_l = 2.0 ** (-l / 2.0)
-    v_logical = gates.hadamard(l).matrix[:, x0_logical].real
-    v_phys = code.isometry.real @ v_logical
+    logical = GroverInstance(l, x0_logical)
+    v_phys = code.isometry.real @ logical.target_state().amplitudes.real
     anchor = code.basis_states[0]   # V|0...0> is this physical basis state
     d = detuning_diagonal(profile, m_phys)
-    return coupled_success_series(2.0 * eps_l, v_phys, anchor, d, ts)
+    return coupled_success_series(2.0 * logical.epsilon, v_phys, anchor, d, ts)
 
 
 def encoded_grover_evolution(m_phys: int, profile: DetuningProfile,
@@ -298,7 +297,7 @@ def scenario_fig4(m: int = 3, x0: int | None = None, detunings=None,
     inst = GroverInstance(m, x0)
     if t_max is None:
         t_max = 4.0 * inst.n_optimal * inst.tau
-    ts = np.linspace(0.0, t_max, grid_points)
+    ts = time_grid(t_max, grid_points)
     ideal = evolve_with_errors(inst, DetuningProfile.zeros(m), ts)[:, 1]
     detuned = evolve_with_errors(inst, profile, ts)[:, 1]
     config = {"scenario": "fig4", "m": m, "x0": x0, "detunings": list(profile.omegas),
@@ -385,6 +384,8 @@ def parse_sigma_grid(spec: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"sigma grid must look like a:b:step, got {spec!r}")
     a, b, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"sigma grid bounds and step must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise ValueError(f"invalid sigma grid bounds {spec!r}")
     count = int(math.floor((b - a) / step + 0.5)) + 1

@@ -3,11 +3,11 @@
 Hadamard transforms, controlled phase inversions, the marking oracle with
 its ancilla, CNOT, Pauli matrices, and the y-conjugated Hadamard variant
 used to build in-code logical gates.  Every constructor returns a full
-dense matrix with verified structure flags.
+dense matrix with verified structure flags; `walsh_hadamard` applies the
+Hadamard transform to a vector without building one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +37,23 @@ def hadamard(m: int) -> DenseOperator:
     idx = np.arange(n)
     parity = (np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1).astype(np.int64)
     return DenseOperator((1 - 2 * parity) * 2.0 ** (-m / 2.0), frozenset({"unitary", "hermitian"}))
+
+
+def walsh_hadamard(amps: np.ndarray) -> np.ndarray:
+    """Apply the m-qubit Hadamard transform to `amps` in place and return it.
+
+    One butterfly pass per qubit, (a, b) -> (a + b, a - b), then a single
+    2^(-m/2) scale: O(m 2^m) work and no matrix.  Equals
+    hadamard(m).matrix @ amps for a vector of length 2**m.
+    """
+    m = amps.shape[0].bit_length() - 1
+    if m < 1 or amps.shape[0] != 2**m:
+        raise ValueError(f"vector length {amps.shape[0]} is not a power of two >= 2")
+    for k in range(m):
+        pairs = amps.reshape(-1, 2, 2**k)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    amps *= 2.0 ** (-m / 2.0)
+    return amps
 
 
 def phase_inversion(m: int, x: int) -> DenseOperator:
@@ -109,36 +126,3 @@ def h_tilde() -> DenseOperator:
     """
     mat = (-1j * _PAULI["y"]) @ hadamard(1).matrix
     return DenseOperator(mat, frozenset({"unitary"}))
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """Declarative description of a gate; `build()` materializes the matrix.
-
-    kind            parameters
-    hadamard_m      m
-    phase_inversion m, x
-    oracle          m, x0
-    cnot            m, control, target
-    pauli           axis
-    h_tilde         (none)
-    """
-
-    kind: str
-    parameters: dict = field(default_factory=dict)
-
-    _BUILDERS = {
-        "hadamard_m": lambda p: hadamard(p["m"]),
-        "phase_inversion": lambda p: phase_inversion(p["m"], p["x"]),
-        "oracle": lambda p: oracle(p["m"], p["x0"]),
-        "cnot": lambda p: cnot(p["m"], p["control"], p["target"]),
-        "pauli": lambda p: pauli(p["axis"]),
-        "h_tilde": lambda p: h_tilde(),
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._BUILDERS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-
-    def build(self) -> DenseOperator:
-        return self._BUILDERS[self.kind](self.parameters)

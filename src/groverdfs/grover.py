@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -86,11 +86,13 @@ class GroverInstance:
 
     def target_state(self) -> StateVector:
         """|v> = H|x0>, the rotated image of the marked state."""
-        return StateVector(self.m, gates.hadamard(self.m).matrix[:, self.x0])
+        amps = np.zeros(self.dim, dtype=np.complex128)
+        amps[self.x0] = 1.0
+        return StateVector(self.m, gates.walsh_hadamard(amps))
 
 
 def grover_step(inst: GroverInstance) -> DenseOperator:
-    """The elementary rotation Q = -I_s H I_x0 H, with I_x0 built through the oracle."""
+    """Dense Q = -I_s H I_x0 H with I_x0 built through the oracle: the reference for apply_step."""
     h = gates.hadamard(inst.m).matrix
     i_x0 = np.diag(gates.phase_inversion_via_oracle(inst.m, inst.x0).matrix)
     i_s = np.ones(inst.dim)
@@ -99,15 +101,40 @@ def grover_step(inst: GroverInstance) -> DenseOperator:
     return DenseOperator(q, frozenset({"unitary"}))
 
 
-def run_grover(inst: GroverInstance, n: int) -> StateVector:
-    """H Q^n |0...0>: n elementary rotations and a final Hadamard."""
+def apply_step(inst: GroverInstance, amps: np.ndarray) -> np.ndarray:
+    """Apply Q = -I_s H I_x0 H to `amps` in place and return it.
+
+    No matrix is built: two Walsh-Hadamard butterflies, the sign flip of
+    the marked entry, and -I_s, which negates every entry except |0...0>.
+    Equals grover_step(inst).matrix @ amps.
+    """
+    if amps.shape != (inst.dim,):
+        raise ValueError(f"state of shape {amps.shape} does not fit {inst.m} qubits")
+    gates.walsh_hadamard(amps)
+    amps[inst.x0] *= -1.0
+    gates.walsh_hadamard(amps)
+    amps[1:] *= -1.0
+    return amps
+
+
+def step_iterates(inst: GroverInstance, n: int) -> Iterator[np.ndarray]:
+    """Yield Q^j |s> for j = 0..n.
+
+    The same buffer is updated in place between yields: copy an iterate
+    that must outlive the next step.
+    """
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    q = grover_step(inst).matrix
-    psi = inst.start_state().amplitudes
+    amps = inst.start_state().amplitudes.copy()
+    yield amps
     for _ in range(n):
-        psi = q @ psi
-    return StateVector(inst.m, gates.hadamard(inst.m).matrix @ psi)
+        yield apply_step(inst, amps)
+
+
+def run_grover(inst: GroverInstance, n: int) -> StateVector:
+    """H Q^n |0...0>: n elementary rotations and a final Hadamard."""
+    *_, amps = step_iterates(inst, n)
+    return StateVector(inst.m, gates.walsh_hadamard(amps))
 
 
 def success_probability(inst: GroverInstance, n: int) -> float:
@@ -118,21 +145,12 @@ def success_probability(inst: GroverInstance, n: int) -> float:
 def success_probabilities(inst: GroverInstance, n_max: int) -> np.ndarray:
     """Gate-level success probabilities for every step count 0..n_max.
 
-    One step matrix is built and then applied iteratively, so the cost is a
-    single matrix product plus n_max matrix-vector products.
+    The state is stepped with `apply_step` and no matrix is built.  Each
+    probability is |<v|Q^j s>|^2, which equals |<x0|H Q^j s>|^2 because the
+    Hadamard transform is hermitian.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    q = grover_step(inst).matrix
     v = inst.target_state().amplitudes
-    psi = inst.start_state().amplitudes
-    probs = np.empty(n_max + 1)
-    for j in range(n_max + 1):
-        # <x0|H psi> = <v|psi> because the Hadamard transform is hermitian
-        probs[j] = abs(np.vdot(v, psi)) ** 2
-        if j < n_max:
-            psi = q @ psi
-    return probs
+    return np.array([abs(np.vdot(v, amps)) ** 2 for amps in step_iterates(inst, n_max)])
 
 
 def two_level_matrix(inst: GroverInstance) -> tuple[np.ndarray, float]:
@@ -145,14 +163,13 @@ def two_level_matrix(inst: GroverInstance) -> tuple[np.ndarray, float]:
     leaves outside span{|s>, |v>} (zero up to roundoff: the step preserves
     that plane exactly).
     """
-    q = grover_step(inst).matrix
     s = inst.start_state().amplitudes
     v = inst.target_state().amplitudes
     gram = np.array([[1.0, inst.epsilon], [inst.epsilon, 1.0]])
     coeffs = np.empty((2, 2))
     residual = 0.0
     for row, vec in enumerate((s, v)):
-        image = q @ vec
+        image = apply_step(inst, vec.copy())
         rhs = np.array([np.vdot(s, image).real, np.vdot(v, image).real])
         coeffs[row] = np.linalg.solve(gram, rhs)
         residual = max(residual, float(np.linalg.norm(image - coeffs[row, 0] * s - coeffs[row, 1] * v)))

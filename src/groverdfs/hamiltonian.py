@@ -11,12 +11,13 @@ units of hbar/tau with hbar = tau = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grover import GroverInstance, grover_step
-from .statevec import DenseOperator, hermitian_evolve
+from .grover import GroverInstance, step_iterates
+from .statevec import DenseOperator
 
 DEFAULT_GRID_POINTS = 400
 
@@ -37,6 +38,8 @@ class DetuningProfile:
         omegas = tuple(float(w) for w in self.omegas)
         if not omegas:
             raise ValueError("a detuning profile needs at least one qubit")
+        if not all(map(math.isfinite, omegas)):
+            raise ValueError(f"detunings must be finite numbers, got {list(omegas)}")
         scale = self.scale
         if scale is None:
             scale = 2.0 ** (-len(omegas) / 2.0)
@@ -129,9 +132,16 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     return np.abs(amps) ** 2
 
 
+def time_grid(t_max: float, points: int) -> np.ndarray:
+    """`points` evenly spaced times over [0, t_max]; every time-grid builder goes through here."""
+    if points < 1:
+        raise ValueError(f"grid points must be >= 1, got {points}")
+    return np.linspace(0.0, t_max, points)
+
+
 def default_time_grid(inst: GroverInstance, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Default grid: `points` samples over [0, 4 n_optimal tau]."""
-    return np.linspace(0.0, 4.0 * inst.n_optimal * inst.tau, points)
+    return time_grid(4.0 * inst.n_optimal * inst.tau, points)
 
 
 def evolve_with_errors(inst: GroverInstance, profile: DetuningProfile,
@@ -156,13 +166,18 @@ def evolve_with_errors(inst: GroverInstance, profile: DetuningProfile,
 
 
 def trotter_error(inst: GroverInstance, n: int) -> float:
-    """2-norm gap between the n-step gate sequence and exp(-i H_G n tau) on |s>."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = grover_step(inst).matrix
-    psi_gate = inst.start_state().amplitudes
-    for _ in range(n):
-        psi_gate = q @ psi_gate
-    hg = grover_hamiltonian(inst).operator
-    psi_ham = hermitian_evolve(hg, n * inst.tau, inst.start_state()).amplitudes
+    """2-norm gap between the n-step gate sequence and exp(-i H_G n tau) on |s>.
+
+    The gate side steps |s> n times without a matrix.  The Hamiltonian side
+    is exact in closed form: in the orthonormal plane of |s> and
+    |w> = (|v> - eps|s>)/sqrt(1 - eps^2), H_G acts as omega sigma_y with
+    omega = 2 eps sqrt(1 - eps^2), so exp(-i H_G t)|s> = cos(omega t)|s> + sin(omega t)|w>.
+    """
+    *_, psi_gate = step_iterates(inst, n)
+    eps = inst.epsilon
+    c = math.sqrt(1.0 - eps * eps)
+    s = inst.start_state().amplitudes.real
+    w = (inst.target_state().amplitudes.real - eps * s) / c
+    angle = 2.0 * eps * c * n * inst.tau
+    psi_ham = math.cos(angle) * s + math.sin(angle) * w
     return float(np.linalg.norm(psi_gate - psi_ham))

@@ -159,37 +159,19 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _check_hermitian(H: DenseOperator) -> np.ndarray:
-    dev = np.max(np.abs(H.matrix - H.matrix.conj().T))
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"evolution requires a hermitian operator (deviation {dev:g})")
-    return H.matrix
-
-
-def hermitian_evolve(H: DenseOperator, t: float, psi0: StateVector) -> StateVector:
-    """Evolve psi0 under exp(-i H t), H hermitian in units of hbar/tau.
-
-    Computed through the full eigendecomposition of H, which is exact at
-    the matrix sizes used here.
-    """
-    mat = _check_hermitian(H)
-    if H.dim != psi0.dim:
-        raise ValueError(f"operator dimension {H.dim} does not match state dimension {psi0.dim}")
-    w, U = np.linalg.eigh(mat)
-    phases = np.exp(-1j * w * t)
-    return StateVector(psi0.num_qubits, U @ (phases * (U.conj().T @ psi0.amplitudes)))
-
-
 def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
     """States exp(-i H t) psi0 for every t in `times`, as a (T, dim) array.
 
-    The eigendecomposition of H is computed once and reused across the
-    whole grid.
+    H must be hermitian (units of hbar/tau).  The eigendecomposition of H
+    is computed once and reused across the whole grid, which is exact at
+    the matrix sizes used here.
     """
-    mat = _check_hermitian(H)
+    dev = np.max(np.abs(H.matrix - H.matrix.conj().T))
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"evolution requires a hermitian operator (deviation {dev:g})")
     if H.dim != psi0.dim:
         raise ValueError(f"operator dimension {H.dim} does not match state dimension {psi0.dim}")
     ts = np.asarray(times, dtype=float)
-    w, U = np.linalg.eigh(mat)
+    w, U = np.linalg.eigh(H.matrix)
     c = U.conj().T @ psi0.amplitudes
     return (np.exp(-1j * np.outer(ts, w)) * c) @ U.T

@@ -100,6 +100,33 @@ def test_wrong_detuning_count_exits_2(tmp_path):
                     "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["fig6", "--detunings", "inf,0,0,0,0,0,0,0"],
+    ["fig7", "--trials", "2", "--omega-mean", "nan", "--sigma-grid", "0:0:1"],
+    ["fig4", "--detunings", "nan,0,0"],
+])
+def test_non_finite_detunings_exit_2(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "detunings must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["0:inf:0.1", "0:nan:0.1"])
+def test_non_finite_sigma_grid_exits_2(tmp_path, capsys, spec):
+    assert run_cli(["fig7", "--sigma-grid", spec, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "sigma grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["fig4", "--grid-points", "0"],
+    ["fig7", "--trials", "2", "--grid-points", "0"],
+    ["fig6", "--grid-points", "-3"],
+])
+def test_empty_time_grid_exits_2(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "grid points must be >= 1" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_3(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli(["fig2", "--out", str(missing_dir)]) == 3

@@ -240,6 +240,9 @@ def test_parse_sigma_grid():
         xp.parse_sigma_grid("0:1")
     with pytest.raises(ValueError):
         xp.parse_sigma_grid("1:0:0.1")
+    for spec in ("0:inf:0.1", "0:nan:0.1", "-inf:1:0.1", "0:1:inf", "0:1:nan"):
+        with pytest.raises(ValueError, match="finite"):
+            xp.parse_sigma_grid(spec)
 
 
 def test_run_result_round_trip(tmp_path):

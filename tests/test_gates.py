@@ -186,12 +186,29 @@ def test_pauli_matrices():
         gates.pauli("w")
 
 
-def test_gate_spec_builds_and_validates():
-    spec = gates.GateSpec("cnot", {"m": 2, "control": 2, "target": 1})
-    assert np.array_equal(spec.build().matrix, gates.cnot(2, 2, 1).matrix)
-    assert gates.GateSpec("h_tilde").build().dim == 2
-    with pytest.raises(ValueError):
-        gates.GateSpec("toffoli")
+@pytest.mark.parametrize("m", range(1, 11))
+def test_walsh_hadamard_matches_dense_matrix(m):
+    rng = np.random.default_rng(100 + m)
+    psi = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    dense = gates.hadamard(m).matrix @ psi
+    out = psi.copy()
+    assert gates.walsh_hadamard(out) is out
+    assert np.max(np.abs(out - dense)) <= 1e-12 * max(1.0, float(np.max(np.abs(dense))))
+
+
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_walsh_hadamard_columns_are_exact(m):
+    # a basis vector maps to a Hadamard column bit for bit: entries are +/- 2^(-m/2)
+    for x0 in (0, 2**m - 1):
+        amps = np.zeros(2**m, dtype=complex)
+        amps[x0] = 1.0
+        assert np.array_equal(gates.walsh_hadamard(amps), gates.hadamard(m).matrix[:, x0])
+
+
+def test_walsh_hadamard_rejects_bad_length():
+    for n in (1, 3, 12):
+        with pytest.raises(ValueError):
+            gates.walsh_hadamard(np.ones(n, dtype=complex))
 
 
 @pytest.mark.parametrize("build", [

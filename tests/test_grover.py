@@ -33,6 +33,44 @@ def test_grover_step_unitary():
     assert q.is_flagged("unitary")
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_matrix_free_step_matches_dense_step(m):
+    # Q^n |psi> through apply_step against the oracle-built dense Q, every x0
+    rng = np.random.default_rng(m)
+    psi0 = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+    for x0 in range(2**m):
+        inst = grover.GroverInstance(m, x0)
+        q = grover.grover_step(inst).matrix
+        dense, fast = psi0.copy(), psi0.copy()
+        for n in range(1, 6):
+            dense = q @ dense
+            assert grover.apply_step(inst, fast) is fast
+            assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+def test_apply_step_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        grover.apply_step(grover.GroverInstance(3, 1), np.ones(4, dtype=complex))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_step_iterates_match_dense_powers(m):
+    inst = grover.GroverInstance(m, 2**m - 1)
+    q = grover.grover_step(inst).matrix
+    psi = inst.start_state().amplitudes
+    for n, amps in enumerate(grover.step_iterates(inst, 4 * inst.n_optimal + 1)):
+        assert np.max(np.abs(amps - psi)) <= 1e-12, n
+        psi = q @ psi
+
+
+def test_negative_step_counts_rejected():
+    inst = grover.GroverInstance(3, 1)
+    with pytest.raises(ValueError):
+        grover.run_grover(inst, -1)
+    with pytest.raises(ValueError):
+        grover.success_probabilities(inst, -1)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_two_level_action(m):
     # Q maps (|s>, |v>) to ((1-4e^2)|s> + 2e|v>, -2e|s> + |v>) and leaves

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groverdfs import gates, hamiltonian as ham
-from groverdfs.grover import GroverInstance
+from groverdfs.grover import GroverInstance, grover_step
 from groverdfs.statevec import DenseOperator, embed_single_qubit, evolve_grid
 
 
@@ -100,6 +100,21 @@ def test_zero_detuning_is_zero_operator():
     assert not np.any(ham.detuning_hamiltonian(ham.DetuningProfile.zeros(1), 1).matrix)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detuning_profile_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="detunings must be finite"):
+        ham.DetuningProfile((0.1, bad, 0.3))
+
+
+def test_time_grid_needs_a_point():
+    assert list(ham.time_grid(2.0, 1)) == [0.0]
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="grid points"):
+            ham.time_grid(2.0, points)
+        with pytest.raises(ValueError, match="grid points"):
+            ham.default_time_grid(GroverInstance(3, 1), points)
+
+
 def test_detuning_profile_length_mismatch():
     with pytest.raises(ValueError):
         ham.detuning_hamiltonian(ham.DetuningProfile((1.0, 2.0)), 3)
@@ -192,8 +207,27 @@ def test_default_time_grid_span():
 
 
 def test_trotter_error_zero_steps():
-    # both sides are the identity; only the eigendecomposition round-trip remains
+    # both sides leave |s> unchanged
     assert ham.trotter_error(GroverInstance(4, 1), 0) <= 1e-14
+    with pytest.raises(ValueError):
+        ham.trotter_error(GroverInstance(4, 1), -1)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_trotter_error_matches_dense_reference(m):
+    # the closed-form plane rotation against evolve_grid on the dense H_G, and
+    # the matrix-free gate side against powers of the oracle-built step matrix
+    for x0 in (0, 2**m - 1):
+        inst = GroverInstance(m, x0)
+        q = grover_step(inst).matrix
+        s = inst.start_state()
+        ns = np.arange(4 * inst.n_optimal + 2)
+        ham_states = evolve_grid(ham.grover_hamiltonian(inst).operator, ns * inst.tau, s)
+        gate = s.amplitudes
+        for n in ns:
+            gap = float(np.linalg.norm(gate - ham_states[n]))
+            assert ham.trotter_error(inst, int(n)) == pytest.approx(gap, abs=1e-12)
+            gate = q @ gate
 
 
 @pytest.mark.parametrize("m,n", [(4, 3), (6, 5), (8, 5)])

@@ -159,33 +159,44 @@ def _random_hermitian(rng, dim):
     return sv.DenseOperator((a + a.conj().T) / 2, frozenset({"hermitian"}))
 
 
-def test_hermitian_evolve_zero_time():
+def evolve(h, t, psi):
+    """exp(-i H t) psi as a StateVector, through the one-point grid of evolve_grid."""
+    return sv.StateVector(psi.num_qubits, sv.evolve_grid(h, [t], psi)[0])
+
+
+def test_evolve_grid_zero_time():
     psi = sv.apply(gates.hadamard(2), sv.basis_state(2, 3))
     h = _random_hermitian(np.random.default_rng(0), 4)
-    assert np.allclose(sv.hermitian_evolve(h, 0.0, psi).amplitudes, psi.amplitudes)
+    assert np.allclose(evolve(h, 0.0, psi).amplitudes, psi.amplitudes)
 
 
-def test_hermitian_evolve_eigenstate_phase():
+def test_evolve_grid_eigenstate_phase():
     omega = 0.37
     h = sv.DenseOperator(omega * gates.pauli("z").matrix, frozenset({"hermitian", "diagonal"}))
     psi = sv.basis_state(1, 0)
     t = 2.5
-    out = sv.hermitian_evolve(h, t, psi)
+    out = evolve(h, t, psi)
     assert out.amplitudes[0] == pytest.approx(np.exp(-1j * omega * t), abs=1e-12)
     assert np.allclose(out.probabilities(), psi.probabilities(), atol=1e-12)
 
 
-def test_hermitian_evolve_rabi_flip():
+def test_evolve_grid_rabi_flip():
     # H = sigma_x swaps |0> and |1> after a quarter period t = pi/2
     h = sv.DenseOperator(gates.pauli("x").matrix, frozenset({"hermitian", "unitary"}))
-    out = sv.hermitian_evolve(h, math.pi / 2, sv.basis_state(1, 0))
+    out = evolve(h, math.pi / 2, sv.basis_state(1, 0))
     assert out.probability(1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hermitian_evolve_rejects_non_hermitian():
+def test_evolve_grid_rejects_non_hermitian():
     tilt = sv.DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValueError):
-        sv.hermitian_evolve(tilt, 1.0, sv.basis_state(1, 0))
+        sv.evolve_grid(tilt, [1.0], sv.basis_state(1, 0))
+
+
+def test_evolve_grid_rejects_dimension_mismatch():
+    h = _random_hermitian(np.random.default_rng(1), 4)
+    with pytest.raises(ValueError):
+        sv.evolve_grid(h, [1.0], sv.basis_state(1, 0))
 
 
 @pytest.mark.parametrize("dim_qubits", [1, 2, 3])
@@ -194,7 +205,7 @@ def test_evolution_preserves_norm(dim_qubits):
     h = _random_hermitian(rng, 2**dim_qubits)
     psi = sv.basis_state(dim_qubits, 0)
     for t in (0.1, 1.0, 17.3):
-        out = sv.hermitian_evolve(h, t, psi)
+        out = evolve(h, t, psi)
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
 
@@ -203,8 +214,8 @@ def test_evolution_composes():
     h = _random_hermitian(rng, 8)
     psi = sv.basis_state(3, 5)
     t1, t2 = 0.7, 2.2
-    once = sv.hermitian_evolve(h, t1 + t2, psi)
-    twice = sv.hermitian_evolve(h, t2, sv.hermitian_evolve(h, t1, psi))
+    once = evolve(h, t1 + t2, psi)
+    twice = evolve(h, t2, evolve(h, t1, psi))
     assert np.max(np.abs(once.amplitudes - twice.amplitudes)) <= 1e-9
 
 
@@ -214,9 +225,10 @@ def test_evolve_grid_matches_pointwise():
     psi = sv.basis_state(3, 2)
     times = [0.0, 0.4, 1.7, 3.1]
     grid = sv.evolve_grid(h, times, psi)
+    w, u = np.linalg.eigh(h.matrix)
     for k, t in enumerate(times):
-        single = sv.hermitian_evolve(h, t, psi)
-        assert np.allclose(grid[k], single.amplitudes, atol=1e-12)
+        single = u @ (np.exp(-1j * w * t) * (u.conj().T @ psi.amplitudes))
+        assert np.allclose(grid[k], single, atol=1e-12)
 
 
 def test_bit_at_convention():
