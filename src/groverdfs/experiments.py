@@ -37,8 +37,6 @@ DEFAULT_OMEGA_MEAN = 0.5          # units of <s|v>/tau
 DEFAULT_SIGMA_GRID = "0:1:0.1"    # relative spread, units of the mean
 DEFAULT_SEED = 42
 
-_SCENARIOS = ("fig2", "fig4", "fig5", "fig6", "fig7")
-
 
 @dataclass
 class RunResult:
@@ -407,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a named scenario and write its results")
-    run.add_argument("scenario", choices=_SCENARIOS)
+    run.add_argument("scenario", choices=tuple(_SCENARIO_FLAGS))
     run.add_argument("--m", type=int, default=None, help="qubit count (physical for fig6/fig7)")
     run.add_argument("--x0", type=int, default=None, help="marked item (logical for fig6)")
     run.add_argument("--detunings", type=str, default=None,
@@ -426,7 +424,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags each scenario reads, besides --out and --format.
+_SCENARIO_FLAGS = {
+    "fig2": (),
+    "fig4": ("m", "x0", "detunings", "t_max", "grid_points"),
+    "fig5": ("m_max",),
+    "fig6": ("m", "x0", "detunings", "t_max", "grid_points"),
+    "fig7": ("m", "trials", "sigma_grid", "omega_mean", "seed", "grid_points"),
+}
+
+
 def _dispatch(args: argparse.Namespace) -> RunResult:
+    unused = [name for name, value in vars(args).items()
+              if value is not None and name not in ("command", "scenario", "out", "format")
+              and name not in _SCENARIO_FLAGS[args.scenario]]
+    if unused:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unused)
+        raise ValueError(f"{args.scenario} does not use {flags}")
     pick = lambda value, default: default if value is None else value
     if args.scenario == "fig2":
         return scenario_fig2()

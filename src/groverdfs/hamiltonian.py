@@ -12,6 +12,7 @@ units of hbar/tau with hbar = tau = 1.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,29 +112,62 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
 
         H = coupling * i (|v><anchor| - |anchor><v|) + diag(d)
 
-    with real v and d.  H is unitarily equivalent, via the phase i on every
-    axis except the anchor, to a real symmetric matrix; the evolution uses
-    one full eigendecomposition of that real form, which is about three
-    times faster than the complex one at these sizes.
+    with real v and d of length 2^m.  Via the phase i on every axis except
+    the anchor, H is a real symmetric arrowhead: diag(d) plus the row and
+    column -coupling * v at the anchor.  It is deflated exactly before it
+    is built: basis states other than the anchor with v_j = 0 are
+    decoupled and dropped, and those sharing a detuning d_j merge into one
+    pole coupled with weight sqrt(sum v_j^2), because within such a group
+    only the direction of v couples to the anchor.  One eigendecomposition
+    of the remaining (K+1) x (K+1) arrowhead gives the amplitude
+    sum_k u_ak (u_ak v_a - i w.u_k) exp(-i lambda_k t), with w the pole
+    weights, propagated in real arithmetic.  Raises ValueError if the
+    arrowhead and the time tables would not fit in physical memory.
     """
     v = np.asarray(v, dtype=float)
     d = np.asarray(diag, dtype=float)
-    n = v.size
     ts = np.asarray(times, dtype=float)
-    h = np.zeros((n, n))
-    h[:, anchor] = -coupling * v
-    h[anchor, :] = -coupling * v
-    h[np.arange(n), np.arange(n)] = d
-    w, u = np.linalg.eigh(h)
-    sv = 1j * v.astype(complex)
-    sv[anchor] = v[anchor]
-    coef = np.conj(u.T @ sv) * u[anchor, :]
-    amps = np.exp(-1j * np.outer(ts, w)) @ coef
-    return np.abs(amps) ** 2
+    rest = np.flatnonzero(v)
+    rest = rest[rest != anchor]
+    poles, group = np.unique(d[rest], return_inverse=True)
+    weights = np.sqrt(np.bincount(group, weights=v[rest] ** 2, minlength=poles.size))
+    k = poles.size + 1
+    # the arrowhead and its eigenvectors, then the cos and sin tables over the grid
+    need = 8 * (2 * k * k + 2 * ts.size * k)
+    available = physical_memory()
+    if available is not None and need > available:
+        raise ValueError(
+            f"the detuned series on {v.size.bit_length() - 1} qubits needs {need} bytes "
+            f"({k}-level arrowhead, {ts.size} time points), more than the {available} "
+            "bytes of physical memory")
+    h = np.diag(np.concatenate(([d[anchor]], poles)))
+    h[0, 1:] = h[1:, 0] = -coupling * weights
+    lam, u = np.linalg.eigh(h)
+    ua = u[0]
+    coef_re = ua * ua * v[anchor]
+    coef_im = -ua * (weights @ u[1:])
+    phase = np.outer(ts, lam)
+    sin = np.sin(phase)
+    cos = np.cos(phase, out=phase)
+    re = cos @ coef_re + sin @ coef_im
+    im = cos @ coef_im - sin @ coef_re
+    return re * re + im * im
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not report it."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
 
 
 def time_grid(t_max: float, points: int) -> np.ndarray:
     """`points` evenly spaced times over [0, t_max]; every time-grid builder goes through here."""
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(
+            f"the time window end t_max (--t-max) must be finite and >= 0, got {t_max}")
     if points < 1:
         raise ValueError(f"grid points must be >= 1, got {points}")
     return np.linspace(0.0, t_max, points)

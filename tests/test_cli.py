@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from groverdfs import hamiltonian
 from groverdfs.experiments import cli_run
 
 FAST_FIG7 = ["--trials", "5", "--sigma-grid", "0:0.4:0.2", "--seed", "11",
@@ -125,6 +126,54 @@ def test_non_finite_sigma_grid_exits_2(tmp_path, capsys, spec):
 def test_empty_time_grid_exits_2(tmp_path, capsys, args):
     assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
     assert "grid points must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["fig4", "--t-max", "nan", "--grid-points", "5"],
+    ["fig6", "--t-max", "inf"],
+    ["fig4", "--t-max", "-2"],
+], ids=["fig4-nan", "fig6-inf", "fig4-negative"])
+def test_bad_t_max_exits_2(tmp_path, capsys, args):
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--t-max" in err and "must be finite and >= 0" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["fig4", "--trials", "5", "--seed", "9", "--m-max", "3"], "--trials, --seed, --m-max"),
+    (["fig2", "--m", "3"], "--m"),
+    (["fig5", "--grid-points", "10"], "--grid-points"),
+    (["fig6", "--omega-mean", "1", "--sigma-grid", "0:1:1"], "--sigma-grid, --omega-mean"),
+    (["fig7", "--x0", "1", "--t-max", "3", "--detunings", "1,1,1,1,1,1,1,1"],
+     "--x0, --detunings, --t-max"),
+], ids=["fig4", "fig2", "fig5", "fig6", "fig7"])
+def test_unused_flags_exit_2(tmp_path, capsys, args, named):
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{args[0]} does not use {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fig4", "--m", "3", "--x0", "5", "--detunings", "0.1,0.2,0.3", "--t-max", "10",
+     "--grid-points", "20"],
+    ["fig5", "--m-max", "6"],
+    ["fig6", "--m", "4", "--x0", "1", "--detunings", "0.1,0.2,0.3,0.4", "--t-max", "5",
+     "--grid-points", "20"],
+    ["fig7", "--m", "4", "--trials", "2", "--sigma-grid", "0:0.5:0.5", "--omega-mean", "0.3",
+     "--seed", "5", "--grid-points", "20"],
+], ids=["fig4", "fig5", "fig6", "fig7"])
+def test_every_scenario_accepts_its_own_flags(tmp_path, args):
+    assert run_cli([*args, "--format", "json", "--out", str(tmp_path / "x.json")]) == 0
+
+
+def test_oversized_problem_exits_2(tmp_path, capsys, monkeypatch):
+    # a memory probe reading 1 MB makes the default 8-qubit fig6 too large
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
+    assert run_cli(["fig6", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "on 8 qubits needs" in err and "physical memory" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unwritable_output_exits_3(tmp_path):

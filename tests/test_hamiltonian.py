@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from groverdfs import gates, hamiltonian as ham
+from groverdfs import dfs, gates, hamiltonian as ham
+from groverdfs import experiments as xp
 from groverdfs.grover import GroverInstance, grover_step
-from groverdfs.statevec import DenseOperator, embed_single_qubit, evolve_grid
+from groverdfs.statevec import (DenseOperator, StateVector, basis_state,
+                                embed_single_qubit, evolve_grid)
 
 
 def two_level_oracle(eps, t):
@@ -113,6 +115,13 @@ def test_time_grid_needs_a_point():
             ham.time_grid(2.0, points)
         with pytest.raises(ValueError, match="grid points"):
             ham.default_time_grid(GroverInstance(3, 1), points)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0])
+def test_time_grid_needs_a_finite_non_negative_end(t_max):
+    with pytest.raises(ValueError, match="--t-max"):
+        ham.time_grid(t_max, 5)
+    assert list(ham.time_grid(0.0, 3)) == [0.0, 0.0, 0.0]
 
 
 def test_detuning_profile_length_mismatch():
@@ -244,3 +253,139 @@ def test_trotter_error_scaling_with_size():
     assert e6 == pytest.approx(gate_angle_gap(2.0**-3, 5), abs=1e-9)
     assert e8 == pytest.approx(gate_angle_gap(2.0**-4, 5), abs=1e-9)
     assert e6 / e8 == pytest.approx(8.03, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the deflated arrowhead path against the explicit complex generator
+
+
+def dense_series(coupling, v, anchor, d, ts):
+    """|<v| exp(-i H t) |anchor>|^2 by evolve_grid on the literal complex
+    H = coupling i (|v><anchor| - |anchor><v|) + diag(d)."""
+    v = np.asarray(v, dtype=float)
+    e = np.zeros(v.size)
+    e[anchor] = 1.0
+    h = coupling * 1j * (np.outer(v, e) - np.outer(e, v)) + np.diag(d)
+    m = v.size.bit_length() - 1
+    states = evolve_grid(DenseOperator(h, frozenset({"hermitian"})), ts, basis_state(m, anchor))
+    return np.abs(states @ v) ** 2
+
+
+def reference_search(m, profile, x0, encoded, ts):
+    """P(t) of the unencoded or encoded search by evolve_grid on H_G + H_d,
+    with H_G lifted through the balanced code's isometry when encoded."""
+    d = ham.detuning_diagonal(profile, m)
+    if encoded:
+        code = dfs.balanced_code(m)
+        iso = code.isometry
+        inst = GroverInstance(code.logical_qubits, x0)
+        gen = iso @ ham.grover_hamiltonian(inst).operator.matrix @ iso.conj().T
+        start, target = iso @ inst.start_state().amplitudes, iso @ inst.target_state().amplitudes
+    else:
+        inst = GroverInstance(m, x0)
+        gen = ham.grover_hamiltonian(inst).operator.matrix
+        start, target = inst.start_state().amplitudes, inst.target_state().amplitudes
+    op = DenseOperator(gen + np.diag(d), frozenset({"hermitian"}))
+    states = evolve_grid(op, ts, StateVector(m, start))
+    return np.abs(states @ target.conj()) ** 2
+
+
+@pytest.mark.parametrize("mean", [0.5, -1.7])
+@pytest.mark.parametrize("sigma", [0.0, 1e-12, 1e-9, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("encoded", [False, True])
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_search_series_matches_dense_reference(m, encoded, sigma, mean):
+    for seed in range(3):
+        rng = np.random.default_rng([seed, m, int(encoded)])
+        profile = ham.DetuningProfile(tuple(mean + sigma * mean * rng.standard_normal(m)))
+        if encoded:
+            l = dfs.balanced_code(m).logical_qubits
+            x0 = int(rng.integers(2**l))
+            ts = xp.search_window(l, points=120)
+            p = xp.encoded_grover_evolution(m, profile, x0, ts).column("probability")
+        else:
+            x0 = int(rng.integers(2**m))
+            ts = ham.default_time_grid(GroverInstance(m, x0), 120)
+            p = ham.evolve_with_errors(GroverInstance(m, x0), profile, ts)[:, 1]
+        ref = reference_search(m, profile, x0, encoded, ts)
+        assert np.max(np.abs(p - ref)) <= 1e-12
+
+
+ARROWHEAD_CASES = {
+    # v vanishes off the anchor at several states, which drop out
+    "zero_couplings": ([0.3, 0.0, 0.5, 0.0, -0.2, 0.1, 0.0, 0.4], 2,
+                       [0.4, -0.9, 0.1, 1.3, -0.2, 0.8, 0.05, -0.6]),
+    # three states share one detuning and two another: two merged poles
+    "duplicate_poles": ([0.2, -0.4, 0.3, 0.1, -0.5, 0.35, 0.25, -0.15], 0,
+                        [0.1, 0.7, 0.7, -0.3, 0.7, -0.3, 1.2, 0.0]),
+    # the anchor's own detuning equals the detuning of two other states
+    "anchor_on_a_pole": ([0.3, 0.2, -0.4, 0.5, 0.1, -0.3, 0.45, 0.2], 5,
+                         [0.6, -0.2, 0.6, 0.9, -1.1, 0.6, 0.3, 0.0]),
+    # every coupled state shares one detuning: a 2x2 problem
+    "single_pole": ([0.5, 0.0, 0.4, 0.0, -0.6, 0.0, 0.3, 0.0], 0,
+                    [0.2, 1.0, -0.7, 1.0, -0.7, 1.0, -0.7, 1.0]),
+    # one coupled state besides the anchor, which has no weight of its own
+    "single_state": ([0.0, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0, 0.0], 6,
+                     [0.3, 0.3, 0.3, -0.5, 0.3, 0.3, 0.1, 0.3]),
+    # nothing couples to the anchor: P(t) stays v_a^2
+    "anchor_only": ([0.0, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1,
+                    [0.3, -0.4, 0.3, 0.3, 0.3, 0.3, 0.3, 0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARROWHEAD_CASES))
+def test_arrowhead_deflation_cases(case):
+    v, anchor, d = ARROWHEAD_CASES[case]
+    ts = np.linspace(0.0, 30.0, 90)
+    for coupling in (0.35, 2.0):
+        p = ham.coupled_success_series(coupling, v, anchor, d, ts)
+        assert np.max(np.abs(p - dense_series(coupling, v, anchor, d, ts))) <= 1e-12
+    if case == "anchor_only":
+        assert np.allclose(p, 0.36, rtol=0, atol=1e-15)
+
+
+def solved_dimensions(monkeypatch, run):
+    """Sizes of the matrices coupled_success_series hands to eigh during run()."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        sizes.append(h.shape[0])
+        return eigh(h)
+
+    monkeypatch.setattr(ham.np.linalg, "eigh", spy)
+    run()
+    monkeypatch.undo()
+    return sizes
+
+
+def test_deflation_shrinks_the_search_problems(monkeypatch):
+    ts = xp.search_window(6, points=50)
+    noisy = ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
+    equal = ham.DetuningProfile.equal(8, 0.5)
+    unencoded = lambda profile: ham.evolve_with_errors(GroverInstance(8, 255), profile, ts)
+    encoded = lambda profile: xp.encoded_grover_evolution(8, profile, 63, ts)
+    assert solved_dimensions(monkeypatch, lambda: encoded(noisy)) == [64]
+    assert solved_dimensions(monkeypatch, lambda: encoded(equal)) == [2]
+    # equal detunings leave one pole per Hamming weight 1..8, plus the anchor
+    assert solved_dimensions(monkeypatch, lambda: unencoded(equal)) == [9]
+    assert solved_dimensions(monkeypatch, lambda: unencoded(noisy)) == [256]
+
+
+def test_oversized_series_is_refused_before_allocating(monkeypatch):
+    inst = GroverInstance(8, 255)
+    profile = ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
+    ts = ham.default_time_grid(inst)
+    # a 256-level arrowhead and its eigenvectors plus 400 x 256 cos and sin tables
+    need = 8 * (2 * 256 * 256 + 2 * 400 * 256)
+    monkeypatch.setattr(ham, "physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"on 8 qubits needs {need} bytes"):
+        ham.evolve_with_errors(inst, profile, ts)
+    for available in (need, None):
+        monkeypatch.setattr(ham, "physical_memory", lambda: available)
+        assert ham.evolve_with_errors(inst, profile, ts).shape == (400, 2)
+
+
+def test_physical_memory_is_reported():
+    available = ham.physical_memory()
+    assert available is None or available > 0
