@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -37,12 +37,20 @@ class BalancedCode:
     basis_states: tuple
     dimension: int
     logical_qubits: int
-    isometry: np.ndarray
 
     @property
     def code_indices(self) -> tuple:
         """Physical basis indices actually used by the 2^l logical states."""
         return self.basis_states[: 2**self.logical_qubits]
+
+    @cached_property
+    def isometry(self) -> np.ndarray:
+        """The dense, read-only 2^m x 2^l encoding matrix, built on first use."""
+        cols = 2**self.logical_qubits
+        iso = np.zeros((2**self.m, cols), dtype=np.complex128)
+        iso[np.array(self.code_indices), np.arange(cols)] = 1.0
+        iso.flags.writeable = False
+        return iso
 
 
 def code_dimension(m: int, q: int) -> int:
@@ -56,7 +64,8 @@ def code_dimension(m: int, q: int) -> int:
 def balanced_code(m: int) -> BalancedCode:
     """Enumerate the weight-m/2 code for an even number of physical qubits.
 
-    Cached: the returned code is immutable and shared.
+    Cached: the returned code is immutable and shared; its dense isometry
+    is built only when first read.
     """
     if m < 2 or m % 2:
         raise ValueError(f"balanced codes need an even qubit count >= 2, got {m}")
@@ -64,11 +73,7 @@ def balanced_code(m: int) -> BalancedCode:
     states = tuple(x for x in range(2**m) if x.bit_count() == q)
     dim = code_dimension(m, q)
     l = int(math.floor(math.log2(dim)))
-    isometry = np.zeros((2**m, 2**l), dtype=np.complex128)
-    for k, b in enumerate(states[: 2**l]):
-        isometry[b, k] = 1.0
-    isometry.flags.writeable = False
-    return BalancedCode(m, q, states, dim, l, isometry)
+    return BalancedCode(m, q, states, dim, l)
 
 
 class LogicalQubitCount(NamedTuple):

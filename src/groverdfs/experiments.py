@@ -123,9 +123,10 @@ def _encoded_series(m_phys: int, profile: DetuningProfile, x0_logical: int,
     """Success probabilities of the encoded search under physical detunings.
 
     The logical generator (overlap 2^(-l/2)) is lifted through the code
-    isometry into the full 2^m physical space, the physical detuning
+    isometry V into the full 2^m physical space, the physical detuning
     diagonal is added, and the encoded start state V|0...0> is evolved
-    under the combined matrix.  Reported is |<V v_L | psi(t)>|^2.
+    under the combined matrix.  Reported is |<V v_L | psi(t)>|^2.  The code
+    words are basis states, so V v_L scatters v_L onto the code indices.
     """
     code = dfs.balanced_code(m_phys)
     l = code.logical_qubits
@@ -134,7 +135,8 @@ def _encoded_series(m_phys: int, profile: DetuningProfile, x0_logical: int,
     if profile.num_qubits != m_phys:
         raise ValueError(f"profile has {profile.num_qubits} detunings, expected {m_phys}")
     logical = GroverInstance(l, x0_logical)
-    v_phys = code.isometry.real @ logical.target_state().amplitudes.real
+    v_phys = np.zeros(2**m_phys)
+    v_phys[np.array(code.code_indices)] = logical.target_state().amplitudes.real
     anchor = code.basis_states[0]   # V|0...0> is this physical basis state
     d = detuning_diagonal(profile, m_phys)
     return coupled_success_series(2.0 * logical.epsilon, v_phys, anchor, d, ts)
@@ -215,8 +217,11 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
                 series = evolve_with_errors(GroverInstance(m_phys, x0), profile, ts)
                 p = series[:, 1]
             maxima[k] = p.max()
-        stderr = float(maxima.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        rows.append((sigma, float(maxima.mean()), stderr))
+        # centred on the first trial, so identical maxima give their own
+        # value and a spread of exactly zero
+        dev = maxima - maxima[0]
+        stderr = float(dev.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        rows.append((sigma, float(maxima[0] + dev.mean()), stderr))
         per_trial.append(maxima.tolist())
     config = {
         "scenario": "monte_carlo_sweep", "m_physical": m_phys, "with_encoding": with_encoding,

@@ -176,6 +176,25 @@ def test_oversized_problem_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_oversized_time_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # a memory probe reading 1 MB refuses a 1.6 MB grid before building it
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
+    assert run_cli(["fig4", "--grid-points", "200000", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--grid-points" in err and "physical memory" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sixteen_qubit_fig6_runs(tmp_path):
+    # zero detunings deflate every series to two levels, and the encoded
+    # target is scattered onto the code words without a dense isometry
+    out = tmp_path / "fig6.csv"
+    assert run_cli(["fig6", "--m", "16", "--grid-points", "20", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "fig6.summary.json").read_text(encoding="utf-8"))
+    assert summary["config"]["m_logical"] == 13
+    assert summary["summary"]["encoded"] == summary["summary"]["ideal_logical"]
+
+
 def test_unwritable_output_exits_3(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert run_cli(["fig2", "--out", str(missing_dir)]) == 3

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ def test_isometry_columns_are_basis_states(m):
         col = v[:, k]
         assert col[b] == 1.0
         assert np.count_nonzero(col) == 1
+
+
+def test_sixteen_qubit_code_builds_no_dense_isometry():
+    # the dense 2^16 x 2^13 complex isometry alone would take 8.6 GB
+    tracemalloc.start()
+    try:
+        code = dfs.balanced_code.__wrapped__(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert code.dimension == 12870 and code.logical_qubits == 13
+    assert "isometry" not in vars(code)
+
+
+def test_isometry_is_built_once_and_read_only():
+    code = dfs.balanced_code.__wrapped__(4)
+    assert code.isometry is code.isometry
+    assert not code.isometry.flags.writeable
 
 
 def test_code_dimension_values():

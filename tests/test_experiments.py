@@ -107,6 +107,14 @@ def test_monte_carlo_zero_spread_is_deterministic():
     plain = xp.monte_carlo_sweep(4, trials=5, omega_mean=0.5, sigma_grid=[0.0],
                                  seed=9, with_encoding=False)
     assert plain.rows[0][2] == 0.0
+    # identical trials give their own value and no spread, exactly: summing
+    # 200 equal doubles need not
+    for with_encoding in (True, False):
+        result = xp.monte_carlo_sweep(8, trials=200, omega_mean=0.5, sigma_grid=[0.0],
+                                      seed=42, with_encoding=with_encoding)
+        maxima = result.summary["per_trial_max"][0]
+        assert len(set(maxima)) == 1
+        assert result.rows[0][1:] == (maxima[0], 0.0)
 
 
 def test_monte_carlo_encoding_dominates():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,25 +291,38 @@ def reference_search(m, profile, x0, encoded, ts):
     return np.abs(states @ target.conj()) ** 2
 
 
+def search_series_error(m, encoded, sigma, mean, seed):
+    """Largest gap between the fast search series and reference_search for
+    one random detuning profile and marked item."""
+    rng = np.random.default_rng([seed, m, int(encoded)])
+    profile = ham.DetuningProfile(tuple(mean + sigma * mean * rng.standard_normal(m)))
+    if encoded:
+        l = dfs.balanced_code(m).logical_qubits
+        x0 = int(rng.integers(2**l))
+        ts = xp.search_window(l, points=120)
+        p = xp.encoded_grover_evolution(m, profile, x0, ts).column("probability")
+    else:
+        x0 = int(rng.integers(2**m))
+        ts = ham.default_time_grid(GroverInstance(m, x0), 120)
+        p = ham.evolve_with_errors(GroverInstance(m, x0), profile, ts)[:, 1]
+    return np.max(np.abs(p - reference_search(m, profile, x0, encoded, ts)))
+
+
 @pytest.mark.parametrize("mean", [0.5, -1.7])
 @pytest.mark.parametrize("sigma", [0.0, 1e-12, 1e-9, 0.1, 1.0, 3.0])
 @pytest.mark.parametrize("encoded", [False, True])
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_search_series_matches_dense_reference(m, encoded, sigma, mean):
     for seed in range(3):
-        rng = np.random.default_rng([seed, m, int(encoded)])
-        profile = ham.DetuningProfile(tuple(mean + sigma * mean * rng.standard_normal(m)))
-        if encoded:
-            l = dfs.balanced_code(m).logical_qubits
-            x0 = int(rng.integers(2**l))
-            ts = xp.search_window(l, points=120)
-            p = xp.encoded_grover_evolution(m, profile, x0, ts).column("probability")
-        else:
-            x0 = int(rng.integers(2**m))
-            ts = ham.default_time_grid(GroverInstance(m, x0), 120)
-            p = ham.evolve_with_errors(GroverInstance(m, x0), profile, ts)[:, 1]
-        ref = reference_search(m, profile, x0, encoded, ts)
-        assert np.max(np.abs(p - ref)) <= 1e-12
+        assert search_series_error(m, encoded, sigma, mean, seed) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [1e-15, 1e-12])
+@pytest.mark.parametrize("encoded", [False, True])
+def test_ten_qubit_near_equal_poles_match_dense_reference(encoded, sigma):
+    # spreads this small leave poles a few ulps apart, where unencoded
+    # eigenvalues land exactly on poles and the secular derivative is infinite
+    assert search_series_error(10, encoded, sigma, 0.5, 0) <= 1e-12
 
 
 ARROWHEAD_CASES = {
@@ -342,18 +356,22 @@ def test_arrowhead_deflation_cases(case):
         assert np.max(np.abs(p - dense_series(coupling, v, anchor, d, ts))) <= 1e-12
     if case == "anchor_only":
         assert np.allclose(p, 0.36, rtol=0, atol=1e-15)
+    # without coupling nothing leaves the anchor: P(t) stays v_a^2
+    p = ham.coupled_success_series(0.0, v, anchor, d, ts)
+    assert np.all(p == v[anchor] ** 2)
+    assert np.max(np.abs(p - dense_series(0.0, v, anchor, d, ts))) <= 1e-12
 
 
 def solved_dimensions(monkeypatch, run):
-    """Sizes of the matrices coupled_success_series hands to eigh during run()."""
+    """Sizes of the matrices coupled_success_series hands to eigvalsh during run()."""
     sizes = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def spy(h):
         sizes.append(h.shape[0])
-        return eigh(h)
+        return eigvalsh(h)
 
-    monkeypatch.setattr(ham.np.linalg, "eigh", spy)
+    monkeypatch.setattr(ham.np.linalg, "eigvalsh", spy)
     run()
     monkeypatch.undo()
     return sizes
@@ -376,14 +394,29 @@ def test_oversized_series_is_refused_before_allocating(monkeypatch):
     inst = GroverInstance(8, 255)
     profile = ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
     ts = ham.default_time_grid(inst)
-    # a 256-level arrowhead and its eigenvectors plus 400 x 256 cos and sin tables
-    need = 8 * (2 * 256 * 256 + 2 * 400 * 256)
+    # a 256-level arrowhead and LAPACK's copy of it, the 256 x 255 reciprocal
+    # table and its square, and the 400 x 256 cos and sin tables
+    need = 8 * (2 * 256 * 256 + 2 * 256 * 255 + 2 * 400 * 256)
     monkeypatch.setattr(ham, "physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=f"on 8 qubits needs {need} bytes"):
         ham.evolve_with_errors(inst, profile, ts)
     for available in (need, None):
         monkeypatch.setattr(ham, "physical_memory", lambda: available)
         assert ham.evolve_with_errors(inst, profile, ts).shape == (400, 2)
+
+
+def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(ham, "physical_memory", lambda: 8 * 5)
+    assert list(ham.time_grid(4.0, 5)) == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(ham.np, "linspace", no_allocation)
+    for points in (6, 2_000_000_000):
+        message = re.escape(f"{points} points (--grid-points) needs {8 * points} bytes")
+        with pytest.raises(ValueError, match=message):
+            ham.time_grid(1.0, points)
 
 
 def test_physical_memory_is_reported():
