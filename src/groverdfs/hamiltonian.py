@@ -131,10 +131,17 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     the anchor weight of eigenvector k is u_ak^2 = 1/f'(lam_k), and
     f(lam_k) = 0 gives w.u_k = -u_ak (lam_k - d_a) / coupling, so the
     amplitude is sum_k rho_k (v_a + i (lam_k - d_a) / coupling) exp(-i lam_k t)
-    with rho = 1/f'(lam), propagated in real arithmetic.  An eigenvalue
-    that lands exactly on a pole keeps its value and gets rho = 0.  Raises
-    ValueError if the arrowhead and the time tables would not fit in
-    physical memory.
+    with rho = 1/f'(lam), scaled to sum to 1 as the squares of the anchor
+    components of orthonormal eigenvectors do.  An eigenvalue that lands
+    exactly on a pole keeps its value and gets rho = 0.
+
+    A uniform grid t_j = j dt (every grid `time_grid` makes) factors as
+    t_{aB+b} = t_{aB} + t_b with B = ceil(sqrt(T)), so the amplitudes are
+    one complex product of two phase tables of about sqrt(T) x (K+1) each:
+    (exp(-i t_{aB} lam) * coef) @ exp(-i lam t_b), read row by row.  Any
+    other grid runs the same product with the whole grid as rows and the
+    single column t = 0.  Raises ValueError if the arrowhead and the phase
+    tables would not fit in physical memory.
     """
     v = np.asarray(v, dtype=float)
     d = np.asarray(diag, dtype=float)
@@ -144,13 +151,23 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     poles, group = np.unique(d[rest], return_inverse=True)
     weights = np.sqrt(np.bincount(group, weights=v[rest] ** 2, minlength=poles.size))
     k = poles.size + 1
-    # the arrowhead and LAPACK's copy, the k x K secular tables, then the
-    # cos and sin tables over the grid
-    _refuse_beyond_memory(8 * (2 * k * k + 2 * k * poles.size + 2 * ts.size * k),
+    n = ts.size
+    # np.linspace sets its last point to the end of the window, up to an ulp
+    # off (n - 1) dt; every other point is j dt exactly
+    if n > 1 and np.all(np.abs(ts - np.arange(n) * ts[1])
+                        <= 4 * np.finfo(float).eps * abs(ts[-1])):
+        step = math.isqrt(n - 1) + 1
+        coarse, fine = ts[::step], ts[:step]
+    else:
+        coarse, fine = ts, np.zeros(1)
+    # the arrowhead and LAPACK's copy, the k x K secular tables, the two
+    # complex phase tables and their product, then the series and its temporaries
+    _refuse_beyond_memory(8 * (2 * k * k + 2 * k * poles.size + 2 * k * (coarse.size + fine.size)
+                               + 2 * coarse.size * fine.size + 3 * n),
                           f"the detuned series on {v.size.bit_length() - 1} qubits",
-                          f" ({k}-level arrowhead, {ts.size} time points)")
+                          f" ({k}-level arrowhead, {n} time points)")
     if coupling == 0 or not poles.size:
-        return np.full(ts.size, v[anchor] ** 2)
+        return np.full(n, v[anchor] ** 2)
     d_a = d[anchor]
     z = -coupling * weights
     h = np.diag(np.concatenate(([d_a], poles)))
@@ -162,14 +179,14 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
         polished = lam - f / slope
         lam = np.where(np.isfinite(polished), polished, lam)
         rho = 1.0 / _secular(lam, d_a, poles, z2)[1]
-    coef_re = rho * v[anchor]
-    coef_im = rho * (lam - d_a) / coupling
-    phase = np.outer(ts, lam)
-    sin = np.sin(phase)
-    cos = np.cos(phase, out=phase)
-    re = cos @ coef_re + sin @ coef_im
-    im = cos @ coef_im - sin @ coef_re
-    return re * re + im * im
+    rho /= rho.sum()
+    coef = rho * (v[anchor] + 1j * (lam - d_a) / coupling)
+    rows = np.multiply.outer(coarse, -1j * lam)
+    cols = np.multiply.outer(-1j * lam, fine)
+    np.exp(rows, out=rows)
+    rows *= coef
+    amp = (rows @ np.exp(cols, out=cols)).ravel()[:n]
+    return amp.real ** 2 + amp.imag ** 2
 
 
 def _secular(lam: np.ndarray, d_a: float, poles: np.ndarray, z2: np.ndarray):

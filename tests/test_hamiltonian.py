@@ -291,20 +291,23 @@ def reference_search(m, profile, x0, encoded, ts):
     return np.abs(states @ target.conj()) ** 2
 
 
-def search_series_error(m, encoded, sigma, mean, seed):
+def search_series_error(m, encoded, sigma, mean, seed,
+                        grid=lambda t_end, eps: ham.time_grid(t_end, 120)):
     """Largest gap between the fast search series and reference_search for
-    one random detuning profile and marked item."""
+    one random detuning profile and marked item, on grid(t_end, eps): [0, t_end]
+    is the search's default window and eps the overlap of the searched instance."""
     rng = np.random.default_rng([seed, m, int(encoded)])
     profile = ham.DetuningProfile(tuple(mean + sigma * mean * rng.standard_normal(m)))
     if encoded:
         l = dfs.balanced_code(m).logical_qubits
         x0 = int(rng.integers(2**l))
-        ts = xp.search_window(l, points=120)
+        ts = grid(2.0 * xp.ideal_peak_time(l), GroverInstance(l, x0).epsilon)
         p = xp.encoded_grover_evolution(m, profile, x0, ts).column("probability")
     else:
         x0 = int(rng.integers(2**m))
-        ts = ham.default_time_grid(GroverInstance(m, x0), 120)
-        p = ham.evolve_with_errors(GroverInstance(m, x0), profile, ts)[:, 1]
+        inst = GroverInstance(m, x0)
+        ts = grid(4.0 * inst.n_optimal * inst.tau, inst.epsilon)
+        p = ham.evolve_with_errors(inst, profile, ts)[:, 1]
     return np.max(np.abs(p - reference_search(m, profile, x0, encoded, ts)))
 
 
@@ -323,6 +326,38 @@ def test_ten_qubit_near_equal_poles_match_dense_reference(encoded, sigma):
     # spreads this small leave poles a few ulps apart, where unencoded
     # eigenvalues land exactly on poles and the secular derivative is infinite
     assert search_series_error(10, encoded, sigma, 0.5, 0) <= 1e-12
+
+
+# uniform grids factor into sqrt(T)-row phase tables, whatever T is; other
+# grids take every time as a row of their own
+FACTORED_GRIDS = {
+    **{f"uniform_{points}": (lambda t_end, eps, points=points: ham.time_grid(t_end, points))
+       for points in (1, 2, 3, 4, 399, 400, 401, 1000)},
+    "random_sorted": lambda t_end, eps: np.sort(np.random.default_rng(11).uniform(0.0, t_end, 97)),
+    "peak": lambda t_end, eps: np.array([two_level_peak_time(eps)]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(FACTORED_GRIDS))
+@pytest.mark.parametrize("encoded", [False, True])
+def test_factored_propagation_matches_dense_reference(encoded, grid):
+    for m, sigma in ((4, 1.0), (8, 3.0)):
+        assert search_series_error(m, encoded, sigma, 0.5, 0, FACTORED_GRIDS[grid]) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_series_starts_at_the_anchor_weight(m):
+    # the anchor components of orthonormal eigenvectors square to 1 in sum,
+    # so at t = 0 nothing has left the anchor: P(0) = v_a^2
+    inst = GroverInstance(m, 2**m - 1)
+    v = inst.target_state().amplitudes.real
+    for sigma in (0.1, 1.0, 3.0):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
+            d = ham.detuning_diagonal(profile, m)
+            p0 = ham.coupled_success_series(2.0 * inst.epsilon, v, 0, d, [0.0])
+            assert p0[0] == pytest.approx(v[0] ** 2, rel=1e-15, abs=0)
 
 
 ARROWHEAD_CASES = {
@@ -362,6 +397,16 @@ def test_arrowhead_deflation_cases(case):
     assert np.max(np.abs(p - dense_series(0.0, v, anchor, d, ts))) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", sorted(FACTORED_GRIDS))
+@pytest.mark.parametrize("case", ["single_state", "anchor_only", "single_pole"])
+def test_smallest_arrowheads_on_factored_grids(case, grid):
+    v, anchor, d = ARROWHEAD_CASES[case]
+    ts = FACTORED_GRIDS[grid](30.0, 0.35)
+    p = ham.coupled_success_series(0.35, v, anchor, d, ts)
+    assert p.shape == ts.shape
+    assert np.max(np.abs(p - dense_series(0.35, v, anchor, d, ts))) <= 1e-12
+
+
 def solved_dimensions(monkeypatch, run):
     """Sizes of the matrices coupled_success_series hands to eigvalsh during run()."""
     sizes = []
@@ -395,14 +440,34 @@ def test_oversized_series_is_refused_before_allocating(monkeypatch):
     profile = ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
     ts = ham.default_time_grid(inst)
     # a 256-level arrowhead and LAPACK's copy of it, the 256 x 255 reciprocal
-    # table and its square, and the 400 x 256 cos and sin tables
-    need = 8 * (2 * 256 * 256 + 2 * 256 * 255 + 2 * 400 * 256)
+    # table and its square, the 20 x 256 and 256 x 20 complex phase tables of
+    # the 400-point grid and their 20 x 20 complex product, and three
+    # 400-point arrays for the series
+    need = 8 * (2 * 256 * 256 + 2 * 256 * 255 + 2 * 256 * (20 + 20) + 2 * 20 * 20 + 3 * 400)
     monkeypatch.setattr(ham, "physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=f"on 8 qubits needs {need} bytes"):
         ham.evolve_with_errors(inst, profile, ts)
     for available in (need, None):
         monkeypatch.setattr(ham, "physical_memory", lambda: available)
         assert ham.evolve_with_errors(inst, profile, ts).shape == (400, 2)
+
+
+def test_long_uniform_grid_needs_only_square_root_tables(monkeypatch):
+    # full 10^5 x 256 cos and sin tables would take 410 MB; the factored
+    # 317 x 256 tables and the series take under 10 MB
+    monkeypatch.setattr(ham, "physical_memory", lambda: 100 * 10**6)
+    rng = np.random.default_rng(3)
+    profile = ham.DetuningProfile(tuple(0.5 + 1.5 * rng.standard_normal(8)))
+    inst = GroverInstance(8, 255)
+    ts = ham.default_time_grid(inst, 100_000)
+    p = ham.evolve_with_errors(inst, profile, ts)[:, 1]
+    picked = slice(None, None, 4999)
+    reference = reference_search(8, profile, 255, False, ts[picked])
+    assert np.max(np.abs(p[picked] - reference)) <= 1e-12
+    # a grid as long but not uniform still takes one 256-wide row per time
+    uneven = np.sort(rng.uniform(0.0, ts[-1], ts.size))
+    with pytest.raises(ValueError, match="on 8 qubits needs"):
+        ham.evolve_with_errors(inst, profile, uneven)
 
 
 def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
