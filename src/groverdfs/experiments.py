@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dfs, gates
 from .grover import GroverInstance
-from .hamiltonian import (DEFAULT_GRID_POINTS, DetuningProfile,
+from .hamiltonian import (DEFAULT_GRID_POINTS, DetuningProfile, _refuse_beyond_memory,
                           coupled_success_series, detuning_diagonal,
                           evolve_with_errors, time_grid)
 from .statevec import DenseOperator, apply, basis_state
@@ -118,28 +118,36 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def _encoded_series(m_phys: int, profile: DetuningProfile, x0_logical: int,
-                    ts: np.ndarray) -> np.ndarray:
-    """Success probabilities of the encoded search under physical detunings.
+def _search_problem(m_phys: int, x0: int, with_encoding: bool) -> tuple:
+    """The detuning-independent arguments (coupling, v, anchor) of
+    coupled_success_series for the search on m_phys physical qubits.
 
-    The logical generator (overlap 2^(-l/2)) is lifted through the code
-    isometry V into the full 2^m physical space, the physical detuning
-    diagonal is added, and the encoded start state V|0...0> is evolved
-    under the combined matrix.  Reported is |<V v_L | psi(t)>|^2.  The code
-    words are basis states, so V v_L scatters v_L onto the code indices.
+    Unencoded, the generator couples |v> = H|x0> to the start state |0...0>
+    with strength 2 eps.  Encoded, the logical generator (overlap 2^(-l/2))
+    is lifted through the code isometry V: it couples V v_L to the encoded
+    start state V|0...0>, and since the code words are basis states, V v_L
+    scatters v_L onto the code indices and V|0...0> is one basis state.
     """
+    if not with_encoding:
+        inst = GroverInstance(m_phys, x0)
+        return 2.0 * inst.epsilon, inst.target_state().amplitudes.real, 0
     code = dfs.balanced_code(m_phys)
     l = code.logical_qubits
-    if not 0 <= x0_logical < 2**l:
-        raise ValueError(f"logical marked item {x0_logical} out of range for {l} qubits")
-    if profile.num_qubits != m_phys:
-        raise ValueError(f"profile has {profile.num_qubits} detunings, expected {m_phys}")
-    logical = GroverInstance(l, x0_logical)
+    if not 0 <= x0 < 2**l:
+        raise ValueError(f"logical marked item {x0} out of range for {l} qubits")
+    logical = GroverInstance(l, x0)
     v_phys = np.zeros(2**m_phys)
     v_phys[np.array(code.code_indices)] = logical.target_state().amplitudes.real
-    anchor = code.basis_states[0]   # V|0...0> is this physical basis state
+    return 2.0 * logical.epsilon, v_phys, code.basis_states[0]
+
+
+def _encoded_series(m_phys: int, profile: DetuningProfile, x0_logical: int,
+                    ts: np.ndarray) -> np.ndarray:
+    """Success probabilities |<V v_L | psi(t)>|^2 of the encoded search under
+    physical detunings, with psi(0) = V|0...0>."""
+    coupling, v, anchor = _search_problem(m_phys, x0_logical, True)
     d = detuning_diagonal(profile, m_phys)
-    return coupled_success_series(2.0 * logical.epsilon, v_phys, anchor, d, ts)
+    return coupled_success_series(coupling, v, anchor, d, ts)
 
 
 def encoded_grover_evolution(m_phys: int, profile: DetuningProfile,
@@ -192,37 +200,39 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     For each relative spread sigma in sigma_grid, `trials` profiles are
     drawn with omega_i ~ Normal(omega_mean, (sigma * omega_mean)^2) (units
     of <s|v>/tau of the physical system; negative draws are kept) and the
-    maximum of P(t) over the search window is averaged across trials.
+    maximum of P(t) over the search window is averaged across trials.  The
+    summary keeps every trial's maximum as one (spreads x trials) array.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"the trial count (--trials) must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"the seed (--seed) must be >= 0, got {seed}")
+    if not math.isfinite(omega_mean):
+        raise ValueError(f"detunings must be finite numbers, got a mean (--omega-mean) "
+                         f"of {omega_mean}")
     sigma_grid = [float(s) for s in sigma_grid]
     if any(s < 0 for s in sigma_grid):
         raise ValueError("sigma grid must be non-negative")
+    _refuse_beyond_memory(8 * len(sigma_grid) * trials,
+                          f"{trials} trials (--trials) at {len(sigma_grid)} spreads")
     l = dfs.balanced_code(m_phys).logical_qubits
     ts = search_window(l, points=grid_points)
     if x0 is None:
         x0 = (2**l - 1) if with_encoding else (2**m_phys - 1)
+    coupling, v, anchor = _search_problem(m_phys, x0, with_encoding)
     rng = np.random.default_rng(seed)
     rows = []
-    per_trial = []
-    for sigma in sigma_grid:
-        maxima = np.empty(trials)
+    per_trial = np.empty((len(sigma_grid), trials))
+    for sigma, maxima in zip(sigma_grid, per_trial):
         for k in range(trials):
             omegas = omega_mean + sigma * omega_mean * standard_normals(rng, m_phys)
-            profile = DetuningProfile(tuple(omegas))
-            if with_encoding:
-                p = _encoded_series(m_phys, profile, x0, ts)
-            else:
-                series = evolve_with_errors(GroverInstance(m_phys, x0), profile, ts)
-                p = series[:, 1]
-            maxima[k] = p.max()
+            d = detuning_diagonal(DetuningProfile(tuple(omegas)), m_phys)
+            maxima[k] = coupled_success_series(coupling, v, anchor, d, ts).max()
         # centred on the first trial, so identical maxima give their own
         # value and a spread of exactly zero
         dev = maxima - maxima[0]
         stderr = float(dev.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
         rows.append((sigma, float(maxima[0] + dev.mean()), stderr))
-        per_trial.append(maxima.tolist())
     config = {
         "scenario": "monte_carlo_sweep", "m_physical": m_phys, "with_encoding": with_encoding,
         "x0": x0, "trials": trials, "omega_mean": omega_mean, "sigma_grid": sigma_grid,
@@ -391,7 +401,10 @@ def parse_sigma_grid(spec: str) -> list:
         raise ValueError(f"sigma grid bounds and step must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise ValueError(f"invalid sigma grid bounds {spec!r}")
-    count = int(math.floor((b - a) / step + 0.5)) + 1
+    # capped so that a step too small for any memory cannot overflow the count
+    count = int(min((b - a) / step, 2.0**62) + 0.5) + 1
+    # a list of 8-byte pointers to 24-byte floats
+    _refuse_beyond_memory(32 * count, f"a sigma grid of {count} spreads (--sigma-grid {spec})")
     return [a + k * step for k in range(count)]
 
 

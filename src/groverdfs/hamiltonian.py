@@ -106,6 +106,21 @@ def detuning_hamiltonian(profile: DetuningProfile, m: int) -> DenseOperator:
                          frozenset({"hermitian", "diagonal"}))
 
 
+# The contour runs while N < 2K.  Eigenvalue path against contour, in ms on
+# one BLAS thread: K = 7, N = 158 (fig4) 0.17 against 0.40; K = 64, N = 89
+# and K = 256, N = 151 (fig6) 0.55 against 0.32 and 4.5 against 0.76; K = 7,
+# N = 1.9e5 (fig4 to t = 1e4) 0.12 against 434.  At K = 64 the two cost the
+# same near N = 2K; at K = 256 the contour stays cheaper up to N = 5K.
+_NODES_PER_LEVEL = 2
+
+# Fewest contour nodes.  When the spectrum is narrow against b, rho is large
+# and the ellipse is nearly a circle of radius b about the spectrum; the rule
+# then misses only the Taylor terms of exp(-i z t) of order N and beyond,
+# about (b t)^N / N! <= 2^N / N!, which falls below 1e-15 from N = 23.  The
+# floor adds the same margin of 8 nodes as the general count.
+_MIN_NODES = 31
+
+
 def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
                            diag: np.ndarray, times) -> np.ndarray:
     """P(t) = |<v| exp(-i H t) |anchor>|^2 on a time grid, where
@@ -118,30 +133,39 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     is built: basis states other than the anchor with v_j = 0 are
     decoupled and dropped, and those sharing a detuning d_j merge into one
     pole p_J coupled with weight w_J = sqrt(sum v_j^2), because within such
-    a group only the direction of v couples to the anchor.
+    a group only the direction of v couples to the anchor.  K levels remain.
 
-    Only the eigenvalues of the remaining (K+1) x (K+1) arrowhead, with
-    couplings z_J = -coupling * w_J, are computed, then polished by one
-    Newton step on its secular equation
+    The amplitude is sum_j weight_j exp(-i node_j t) for one of two
+    (nodes, weights) pairs.  By the Schur complement of the anchor it is
+    (1/2 pi i) times the contour integral of exp(-i z t) G(z) around the
+    spectrum, G(z) = (v_a + i coupling S(z)) / (z - d_a - coupling^2 S(z))
+    with S(z) = sum_J w_J^2 / (z - p_J).  The contour path takes the
+    trapezoid rule at N midpoints of a Bernstein ellipse, with nodes z_j and
+    weights G(z_j) z'(theta_j) / (i N).  Its foci, min(p, d_a) - 1.02 |coupling|
+    and max(p, d_a) + 1.02 |coupling|, enclose the spectrum by Weyl's bound;
+    its semi-minor axis b = 2 / t_max (the focal half-width when t_max = 0)
+    keeps exp(-i z t) below e^2.  The rule converges like rho^-N in the
+    ellipse parameter rho, so N = ceil(ln 1e15 / ln rho) + 8, at least
+    _MIN_NODES.  Where N >= 2K the eigenvalue path runs instead: the
+    arrowhead's eigenvalues (couplings z_J = -coupling * w_J), polished by
+    one Newton step on its secular equation
 
         f(lam) = lam - d_a - sum_J z_J^2 / (lam - p_J) = 0,
 
     since LAPACK's eigenvalue-only path is about ten times less accurate
-    here than the full eigensolver.  The eigenvectors are never formed:
-    the anchor weight of eigenvector k is u_ak^2 = 1/f'(lam_k), and
-    f(lam_k) = 0 gives w.u_k = -u_ak (lam_k - d_a) / coupling, so the
-    amplitude is sum_k rho_k (v_a + i (lam_k - d_a) / coupling) exp(-i lam_k t)
-    with rho = 1/f'(lam), scaled to sum to 1 as the squares of the anchor
-    components of orthonormal eigenvectors do.  An eigenvalue that lands
-    exactly on a pole keeps its value and gets rho = 0.
+    here than the full eigensolver, and G's residues there, the weights
+    rho_k (v_a + i (lam_k - d_a) / coupling) with rho = 1/f'(lam), scaled to
+    sum to 1 as the anchor components of orthonormal eigenvectors square
+    to.  An eigenvalue that lands exactly on a pole gets rho = 0.
 
     A uniform grid t_j = j dt (every grid `time_grid` makes) factors as
     t_{aB+b} = t_{aB} + t_b with B = ceil(sqrt(T)), so the amplitudes are
-    one complex product of two phase tables of about sqrt(T) x (K+1) each:
-    (exp(-i t_{aB} lam) * coef) @ exp(-i lam t_b), read row by row.  Any
+    one complex product of two phase tables of about sqrt(T) x nodes each:
+    (exp(-i t_{aB} node) * weight) @ exp(-i node t_b), read row by row.  Any
     other grid runs the same product with the whole grid as rows and the
-    single column t = 0.  Raises ValueError if the arrowhead and the phase
-    tables would not fit in physical memory.
+    single column t = 0.  At t = 0 nothing has left the anchor: P = v_a^2
+    exactly.  Raises ValueError if the tables of the path that runs would
+    not fit in physical memory.
     """
     v = np.asarray(v, dtype=float)
     d = np.asarray(diag, dtype=float)
@@ -152,6 +176,8 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     weights = np.sqrt(np.bincount(group, weights=v[rest] ** 2, minlength=poles.size))
     k = poles.size + 1
     n = ts.size
+    if coupling == 0 or not poles.size:
+        return np.full(n, v[anchor] ** 2)
     # np.linspace sets its last point to the end of the window, up to an ulp
     # off (n - 1) dt; every other point is j dt exactly
     if n > 1 and np.all(np.abs(ts - np.arange(n) * ts[1])
@@ -160,33 +186,60 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
         coarse, fine = ts[::step], ts[:step]
     else:
         coarse, fine = ts, np.zeros(1)
-    # the arrowhead and LAPACK's copy, the k x K secular tables, the two
-    # complex phase tables and their product, then the series and its temporaries
-    _refuse_beyond_memory(8 * (2 * k * k + 2 * k * poles.size + 2 * k * (coarse.size + fine.size)
+    d_a = d[anchor]
+    lo = min(poles[0], d_a) - 1.02 * abs(coupling)
+    hi = max(poles[-1], d_a) + 1.02 * abs(coupling)
+    half = (hi - lo) / 2
+    t_max = float(np.abs(ts).max()) if n else 0.0
+    log_rho = math.asinh((2.0 / t_max if t_max > 0 else half) / half)
+    # ln(1e15) / ln(rho) overflows only for windows no node count could cover
+    count = math.log(1e15) / log_rho if log_rho else math.inf
+    nodes = max(math.ceil(count) + 8, _MIN_NODES) if math.isfinite(count) else math.inf
+    contour = nodes < _NODES_PER_LEVEL * k
+    # the contour's complex N x (K-1) table of reciprocal node-pole distances,
+    # or the arrowhead, LAPACK's copy and the K x (K-1) secular tables; then
+    # the two complex phase tables and their product, the series and its temporaries
+    width = nodes if contour else k
+    table = 2 * nodes * poles.size if contour else 2 * k * k + 2 * k * poles.size
+    _refuse_beyond_memory(8 * (table + 2 * width * (coarse.size + fine.size)
                                + 2 * coarse.size * fine.size + 3 * n),
                           f"the detuned series on {v.size.bit_length() - 1} qubits",
                           f" ({k}-level arrowhead, {n} time points)")
-    if coupling == 0 or not poles.size:
-        return np.full(n, v[anchor] ** 2)
-    d_a = d[anchor]
-    z = -coupling * weights
-    h = np.diag(np.concatenate(([d_a], poles)))
-    h[0, 1:] = h[1:, 0] = z
-    lam = np.linalg.eigvalsh(h)
-    z2 = z * z
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f, slope = _secular(lam, d_a, poles, z2)
-        polished = lam - f / slope
-        lam = np.where(np.isfinite(polished), polished, lam)
-        rho = 1.0 / _secular(lam, d_a, poles, z2)[1]
-    rho /= rho.sum()
-    coef = rho * (v[anchor] + 1j * (lam - d_a) / coupling)
+    if contour:
+        u = log_rho + 2j * np.pi * (np.arange(nodes) + 0.5) / nodes
+        lam = (lo + hi) / 2 + half * np.cosh(u)
+        coef = (_anchor_resolvent(lam, coupling, v[anchor], d_a, poles, weights)
+                * (half / nodes) * np.sinh(u))
+    else:
+        z = -coupling * weights
+        h = np.diag(np.concatenate(([d_a], poles)))
+        h[0, 1:] = h[1:, 0] = z
+        lam = np.linalg.eigvalsh(h)
+        z2 = z * z
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f, slope = _secular(lam, d_a, poles, z2)
+            polished = lam - f / slope
+            lam = np.where(np.isfinite(polished), polished, lam)
+            rho = 1.0 / _secular(lam, d_a, poles, z2)[1]
+        rho /= rho.sum()
+        coef = rho * (v[anchor] + 1j * (lam - d_a) / coupling)
     rows = np.multiply.outer(coarse, -1j * lam)
     cols = np.multiply.outer(-1j * lam, fine)
     np.exp(rows, out=rows)
     rows *= coef
     amp = (rows @ np.exp(cols, out=cols)).ravel()[:n]
-    return amp.real ** 2 + amp.imag ** 2
+    p = amp.real ** 2 + amp.imag ** 2
+    p[ts == 0] = v[anchor] ** 2
+    return p
+
+
+def _anchor_resolvent(z: np.ndarray, coupling: float, v_a: float, d_a: float,
+                      poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """G(z) = (v_a + i coupling S(z)) / (z - d_a - coupling^2 S(z)) at each z away
+    from the spectrum, with S(z) = sum_J w_J^2 / (z - p_J)."""
+    r = np.subtract.outer(z, poles)
+    s = np.reciprocal(r, out=r) @ (weights * weights)
+    return (v_a + 1j * coupling * s) / (z - d_a - coupling * coupling * s)
 
 
 def _secular(lam: np.ndarray, d_a: float, poles: np.ndarray, z2: np.ndarray):

@@ -168,8 +168,9 @@ def test_every_scenario_accepts_its_own_flags(tmp_path, args):
 
 
 def test_oversized_problem_exits_2(tmp_path, capsys, monkeypatch):
-    # a memory probe reading 1 MB makes the default 8-qubit fig6 too large
-    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
+    # a memory probe reading 512 KB makes the default 8-qubit fig6 too large:
+    # its unencoded series needs about 0.7 MB
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**19)
     assert run_cli(["fig6", "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "on 8 qubits needs" in err and "physical memory" in err
@@ -182,6 +183,31 @@ def test_oversized_time_grid_exits_2(tmp_path, capsys, monkeypatch):
     assert run_cli(["fig4", "--grid-points", "200000", "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "--grid-points" in err and "physical memory" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args,named", [
+    (["--trials", "1000000000000"], "1000000000000 trials (--trials) at 11 spreads"),
+    (["--sigma-grid", "0:1:1e-12"], "sigma grid of 1000000000001 spreads (--sigma-grid"),
+], ids=["trials", "sigma-grid"])
+def test_oversized_fig7_exits_2(tmp_path, capsys, monkeypatch, args, named):
+    # a memory probe reading 1 GB refuses 88 TB of per-trial maxima and 32 TB
+    # of spreads before either is allocated
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**30)
+    assert run_cli(["fig7", *args, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "physical memory" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--omega-mean", "inf"], "got a mean (--omega-mean) of inf"),
+    (["--omega-mean=-inf"], "got a mean (--omega-mean) of -inf"),
+    (["--seed", "-1"], "the seed (--seed) must be >= 0, got -1"),
+], ids=["inf-mean", "negative-inf-mean", "negative-seed"])
+def test_bad_fig7_inputs_exit_2(tmp_path, capsys, args, message):
+    assert run_cli(["fig7", "--trials", "2", *args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

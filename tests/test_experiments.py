@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from groverdfs import experiments as xp
+from groverdfs import hamiltonian
 from groverdfs.hamiltonian import DetuningProfile, evolve_with_errors
 from groverdfs.grover import GroverInstance
 
@@ -151,6 +153,45 @@ def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         xp.monte_carlo_sweep(4, trials=2, omega_mean=0.5, sigma_grid=[-0.1],
                              seed=1, with_encoding=True)
+    with pytest.raises(ValueError, match="--seed"):
+        xp.monte_carlo_sweep(4, trials=2, omega_mean=0.5, sigma_grid=[0.1],
+                             seed=-1, with_encoding=True)
+    for mean in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"got a mean \(--omega-mean\) of"):
+            xp.monte_carlo_sweep(4, trials=2, omega_mean=mean, sigma_grid=[0.1],
+                                 seed=1, with_encoding=False)
+
+
+def test_monte_carlo_refuses_trials_beyond_memory(monkeypatch):
+    # 2 spreads x 65537 trials of 8-byte maxima are 16 bytes more than 1 MB
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
+    with pytest.raises(ValueError, match=r"65537 trials \(--trials\) at 2 spreads needs 1048592 bytes"):
+        xp.monte_carlo_sweep(2, trials=65537, omega_mean=0.5, sigma_grid=[0.0, 0.1],
+                             seed=1, with_encoding=True)
+
+
+@pytest.mark.parametrize("with_encoding", [False, True])
+def test_monte_carlo_sweep_matches_per_trial_series(with_encoding):
+    # the sweep builds the search problem once; trial by trial, the series
+    # behind encoded_grover_evolution and evolve_with_errors give the same maxima
+    m, trials, sigmas, seed = 6, 3, [0.0, 0.4, 1.5], 17
+    result = xp.monte_carlo_sweep(m, trials, 0.5, sigmas, seed, with_encoding)
+    ts = xp.search_window(4)
+    rng = np.random.default_rng(seed)
+    maxima = np.empty((len(sigmas), trials))
+    for i, sigma in enumerate(sigmas):
+        for k in range(trials):
+            profile = DetuningProfile(tuple(0.5 + sigma * 0.5 * xp.standard_normals(rng, m)))
+            if with_encoding:
+                p = xp.encoded_grover_evolution(m, profile, 15, ts).column("probability")
+            else:
+                p = evolve_with_errors(GroverInstance(m, 63), profile, ts)[:, 1]
+            maxima[i, k] = p.max()
+    per_trial = result.summary["per_trial_max"]
+    assert isinstance(per_trial, np.ndarray) and per_trial.shape == (3, 3)
+    assert np.array_equal(per_trial, maxima)
+    assert json.loads(json.dumps(result.to_json_dict()))["summary"]["per_trial_max"] == \
+        maxima.tolist()
 
 
 def test_standard_normals_moments_and_determinism():
@@ -250,6 +291,16 @@ def test_parse_sigma_grid():
         xp.parse_sigma_grid("1:0:0.1")
     for spec in ("0:inf:0.1", "0:nan:0.1", "-inf:1:0.1", "0:1:inf", "0:1:nan"):
         with pytest.raises(ValueError, match="finite"):
+            xp.parse_sigma_grid(spec)
+
+
+def test_sigma_grid_beyond_memory_is_refused_before_allocating(monkeypatch):
+    # 32 bytes a spread: 1 MB holds 32768 spreads
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
+    assert len(xp.parse_sigma_grid("0:32767:1")) == 32768
+    for spec, count in (("0:32768:1", 32769), ("0:1:1e-6", 1_000_001),
+                        ("0:1:1e-300", 2**62 + 1)):
+        with pytest.raises(ValueError, match=f"of {count} spreads \\(--sigma-grid"):
             xp.parse_sigma_grid(spec)
 
 

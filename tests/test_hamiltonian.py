@@ -347,8 +347,8 @@ def test_factored_propagation_matches_dense_reference(encoded, grid):
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
 def test_series_starts_at_the_anchor_weight(m):
-    # the anchor components of orthonormal eigenvectors square to 1 in sum,
-    # so at t = 0 nothing has left the anchor: P(0) = v_a^2
+    # at t = 0 nothing has left the anchor: P(0) = v_a^2, alone or at the
+    # start of a window, whichever path runs
     inst = GroverInstance(m, 2**m - 1)
     v = inst.target_state().amplitudes.real
     for sigma in (0.1, 1.0, 3.0):
@@ -356,8 +356,9 @@ def test_series_starts_at_the_anchor_weight(m):
             rng = np.random.default_rng(seed)
             profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
             d = ham.detuning_diagonal(profile, m)
-            p0 = ham.coupled_success_series(2.0 * inst.epsilon, v, 0, d, [0.0])
-            assert p0[0] == pytest.approx(v[0] ** 2, rel=1e-15, abs=0)
+            for ts in ([0.0], ham.default_time_grid(inst)):
+                p0 = ham.coupled_success_series(2.0 * inst.epsilon, v, 0, d, ts)
+                assert p0[0] == pytest.approx(v[0] ** 2, rel=1e-15, abs=0)
 
 
 ARROWHEAD_CASES = {
@@ -408,15 +409,22 @@ def test_smallest_arrowheads_on_factored_grids(case, grid):
 
 
 def solved_dimensions(monkeypatch, run):
-    """Sizes of the matrices coupled_success_series hands to eigvalsh during run()."""
+    """(path, K) of each deflated K-level problem coupled_success_series solves
+    during run(): the matrices it hands to eigvalsh, and the contour's poles
+    plus the anchor."""
     sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh, resolvent = np.linalg.eigvalsh, ham._anchor_resolvent
 
-    def spy(h):
-        sizes.append(h.shape[0])
+    def eigen_spy(h):
+        sizes.append(("eigenvalues", h.shape[0]))
         return eigvalsh(h)
 
-    monkeypatch.setattr(ham.np.linalg, "eigvalsh", spy)
+    def contour_spy(z, coupling, v_a, d_a, poles, weights):
+        sizes.append(("contour", poles.size + 1))
+        return resolvent(z, coupling, v_a, d_a, poles, weights)
+
+    monkeypatch.setattr(ham.np.linalg, "eigvalsh", eigen_spy)
+    monkeypatch.setattr(ham, "_anchor_resolvent", contour_spy)
     run()
     monkeypatch.undo()
     return sizes
@@ -428,28 +436,118 @@ def test_deflation_shrinks_the_search_problems(monkeypatch):
     equal = ham.DetuningProfile.equal(8, 0.5)
     unencoded = lambda profile: ham.evolve_with_errors(GroverInstance(8, 255), profile, ts)
     encoded = lambda profile: xp.encoded_grover_evolution(8, profile, 63, ts)
-    assert solved_dimensions(monkeypatch, lambda: encoded(noisy)) == [64]
-    assert solved_dimensions(monkeypatch, lambda: encoded(equal)) == [2]
+    assert solved_dimensions(monkeypatch, lambda: encoded(noisy)) == [("contour", 64)]
+    assert solved_dimensions(monkeypatch, lambda: encoded(equal)) == [("eigenvalues", 2)]
     # equal detunings leave one pole per Hamming weight 1..8, plus the anchor
-    assert solved_dimensions(monkeypatch, lambda: unencoded(equal)) == [9]
-    assert solved_dimensions(monkeypatch, lambda: unencoded(noisy)) == [256]
+    assert solved_dimensions(monkeypatch, lambda: unencoded(equal)) == [("eigenvalues", 9)]
+    assert solved_dimensions(monkeypatch, lambda: unencoded(noisy)) == [("contour", 256)]
+
+
+def window(t_max, points=120):
+    """A search_series_error grid: `points` times over [0, t_max] for every search."""
+    return lambda t_end, eps: ham.time_grid(t_max, points)
+
+
+@pytest.mark.parametrize("m,encoded,t_max", [(4, True, 0.3), (6, True, 0.01),
+                                             (8, False, 0.01), (8, True, 0.01)])
+def test_short_windows_match_dense_reference(monkeypatch, m, encoded, t_max):
+    # the narrower the window, the larger b and rho and the fewer nodes
+    # ln(1e15) / ln(rho) asks for; the floor _MIN_NODES keeps these exact
+    for sigma in (0.1, 3.0):
+        assert search_series_error(m, encoded, sigma, 0.5, 0, window(t_max)) <= 1e-12
+    paths = solved_dimensions(
+        monkeypatch, lambda: search_series_error(m, encoded, 0.1, 0.5, 0, window(t_max)))
+    # four levels are too few for any contour, which needs N < 2K
+    assert paths[0][0] == ("eigenvalues" if m == 4 else "contour")
+
+
+# fig4's detuned P(t) at --t-max 1e4 and t = j 1e4 / 399 for these j, from
+# a 40-digit mpmath eigendecomposition of the same double-precision H (60
+# digits agree); at this window the double-precision dense reference is
+# itself up to 1.5e-12 off, the eigenvalue path 3e-13
+FIG4_TO_1E4 = {0: 0.12500000000000003, 80: 0.275431099481979, 160: 0.8721519799118277,
+               240: 0.24937274200637394, 320: 0.09875082043842662, 399: 0.30361736376189596}
+
+
+@pytest.mark.parametrize("m,t_max,path", [(3, 1e3, "eigenvalues"), (3, 1e4, "eigenvalues"),
+                                          (8, 40.0, "contour"), (8, 200.0, "eigenvalues")])
+def test_long_windows_on_both_sides_of_the_switch(monkeypatch, m, t_max, path):
+    # fig4 --t-max 1e3 and 1e4 need 1.9e4 and 1.9e5 nodes for 7 levels; at
+    # m=8 the 256-level problem crosses N = 2K between t = 40 and t = 200
+    detunings = (0.5, 0.3, 0.2) if m == 3 else xp.BENCHMARK_DETUNINGS_8Q
+    paths = solved_dimensions(monkeypatch, lambda: xp.scenario_fig4(m, None, detunings, t_max))
+    assert paths[-1] == (path, 7 if m == 3 else 256)
+    result = xp.scenario_fig4(m, None, detunings, t_max)
+    ts, p = result.column("t"), result.column("p_detuned")
+    if t_max == 1e4:
+        picked, reference = list(FIG4_TO_1E4), np.array(list(FIG4_TO_1E4.values()))
+    else:
+        picked = slice(None, None, 21)
+        reference = reference_search(m, ham.DetuningProfile(detunings), 2**m - 1, False,
+                                     ts[picked])
+    assert np.max(np.abs(p[picked] - reference)) <= 1e-12
+
+
+def test_window_beyond_any_node_count_takes_the_eigenvalue_path(monkeypatch):
+    # at t = 1e308, ln(1e15) / ln(rho) overflows to inf
+    v, anchor, d = ARROWHEAD_CASES["duplicate_poles"]
+    ts = np.array([0.0, 1e308])
+    p = []
+    paths = solved_dimensions(
+        monkeypatch, lambda: p.extend(ham.coupled_success_series(0.35, v, anchor, d, ts)))
+    assert paths == [("eigenvalues", 5)]
+    assert p[0] == v[anchor] ** 2 and 0.0 <= p[1] <= 1.0
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-12, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("m,encoded", [(m, False) for m in range(2, 11)]
+                         + [(m, True) for m in range(2, 11, 2)])
+def test_contour_matches_eigenvalue_path(monkeypatch, m, encoded, sigma):
+    l = dfs.balanced_code(m).logical_qubits if encoded else m
+    ts = xp.search_window(l)
+    for seed in range(2):
+        rng = np.random.default_rng([seed, m, int(encoded)])
+        x0 = int(rng.integers(2**l))
+        coupling, v, anchor = xp._search_problem(m, x0, encoded)
+        profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
+        d = ham.detuning_diagonal(profile, m)
+        series = []
+        for ratio, path in ((math.inf, "contour"), (0, "eigenvalues")):
+            monkeypatch.setattr(ham, "_NODES_PER_LEVEL", ratio)
+            paths = solved_dimensions(
+                monkeypatch, lambda: series.append(
+                    ham.coupled_success_series(coupling, v, anchor, d, ts)))
+            assert [p for p, _ in paths] == [path]
+        assert np.max(np.abs(series[0] - series[1])) <= 1e-12
+
+
+# The tables of each path for the 256-level benchmark problem on 400 points:
+# the 20 x width and width x 20 complex phase tables, their 20 x 20 complex
+# product and three 400-point arrays for the series, plus
+OVERSIZED_SERIES = {
+    # on the 4 n_opt = 48 window (N = 548): the arrowhead, LAPACK's copy of
+    # it, the 256 x 255 reciprocal table and its square
+    "eigenvalues": (48.0, 8 * (2 * 256 * 256 + 2 * 256 * 255 + 2 * 256 * (20 + 20)
+                               + 2 * 20 * 20 + 3 * 400)),
+    # on fig6's 4 pi window: the complex 151 x 255 reciprocal table of its 151 nodes
+    "contour": (4 * math.pi, 8 * (2 * 151 * 255 + 2 * 151 * (20 + 20) + 2 * 20 * 20 + 3 * 400)),
+}
 
 
 def test_oversized_series_is_refused_before_allocating(monkeypatch):
     inst = GroverInstance(8, 255)
     profile = ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
-    ts = ham.default_time_grid(inst)
-    # a 256-level arrowhead and LAPACK's copy of it, the 256 x 255 reciprocal
-    # table and its square, the 20 x 256 and 256 x 20 complex phase tables of
-    # the 400-point grid and their 20 x 20 complex product, and three
-    # 400-point arrays for the series
-    need = 8 * (2 * 256 * 256 + 2 * 256 * 255 + 2 * 256 * (20 + 20) + 2 * 20 * 20 + 3 * 400)
-    monkeypatch.setattr(ham, "physical_memory", lambda: need - 1)
-    with pytest.raises(ValueError, match=f"on 8 qubits needs {need} bytes"):
-        ham.evolve_with_errors(inst, profile, ts)
-    for available in (need, None):
-        monkeypatch.setattr(ham, "physical_memory", lambda: available)
-        assert ham.evolve_with_errors(inst, profile, ts).shape == (400, 2)
+    for path, (t_max, need) in OVERSIZED_SERIES.items():
+        ts = ham.time_grid(t_max, 400)
+        monkeypatch.setattr(ham, "physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"on 8 qubits needs {need} bytes"):
+            ham.evolve_with_errors(inst, profile, ts)
+        for available in (need, None):
+            monkeypatch.setattr(ham, "physical_memory", lambda: available)
+            shapes = []
+            paths = solved_dimensions(
+                monkeypatch, lambda: shapes.append(ham.evolve_with_errors(inst, profile, ts).shape))
+            assert shapes == [(400, 2)] and paths == [(path, 256)]
 
 
 def test_long_uniform_grid_needs_only_square_root_tables(monkeypatch):
