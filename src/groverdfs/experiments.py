@@ -27,7 +27,6 @@ from .grover import GroverInstance
 from .hamiltonian import (DEFAULT_GRID_POINTS, DetuningProfile, _refuse_beyond_memory,
                           coupled_success_series, detuning_diagonal,
                           evolve_with_errors, time_grid)
-from .statevec import DenseOperator, apply, basis_state
 
 # Detunings of the 8-qubit benchmark, in units of <s|v>/tau = 2^-4.
 BENCHMARK_DETUNINGS_8Q = (0.92065, 1.1436, 0.71449, 1.39566, 1.29707, 0.70149, 1.19195, 1.00343)
@@ -36,34 +35,48 @@ DEFAULT_TRIALS = 200
 DEFAULT_OMEGA_MEAN = 0.5          # units of <s|v>/tau
 DEFAULT_SIGMA_GRID = "0:1:0.1"    # relative spread, units of the mean
 DEFAULT_SEED = 42
+# fig5 takes an exact binomial for every even m, so its cost grows as m_max^3:
+# 0.07 s at 2000, 0.5 s at 4000 and 6 s at 10000 on a 2-vCPU x86 box.
+FIG5_M_MAX = 4000
 
 
 @dataclass
 class RunResult:
-    """Config echo, tabular series, and summary statistics of one scenario run."""
+    """Config echo, tabular series, and summary statistics of one scenario run.
+
+    `data` maps each column name, in column order, to a read-only 1-D array.
+    The CSV writes integer columns with %d and float columns with %.17g.
+    """
 
     config: dict
-    columns: list
-    rows: list
+    data: dict
     summary: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.data = {name: np.asarray(col).view() for name, col in self.data.items()}
+        for col in self.data.values():
+            col.flags.writeable = False
+
+    @property
+    def columns(self) -> list:
+        return list(self.data)
+
+    @property
+    def rows(self) -> list:
+        """The table as tuples of Python scalars, one per row."""
+        return list(zip(*(col.tolist() for col in self.data.values())))
+
     def column(self, name: str) -> np.ndarray:
-        j = self.columns.index(name)
-        return np.array([row[j] for row in self.rows])
+        return self.data[name]
 
     def write_csv(self, path) -> None:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(x) for x in row))
+        row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in self.data.values())
+        lines = [",".join(self.data), *(row % cells for cells in self.rows)]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def to_json_dict(self) -> dict:
-        return _jsonable({
-            "config": self.config,
-            "columns": self.columns,
-            "rows": self.rows,
-            "summary": self.summary,
-        })
+        return _jsonable({"config": self.config, "columns": self.columns,
+                          "rows": self.rows, "summary": self.summary})
 
     def write_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
@@ -73,12 +86,6 @@ class RunResult:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -86,10 +93,8 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    if isinstance(x, np.generic):
+        return x.item()
     return x
 
 
@@ -165,8 +170,7 @@ def encoded_grover_evolution(m_phys: int, profile: DetuningProfile,
         "x0_logical": x0_logical, "detunings": list(profile.omegas),
         "detuning_scale": profile.scale, "grid_points": len(ts), "t_max": float(ts[-1]),
     }
-    return RunResult(config, ["t", "probability"], list(zip(ts.tolist(), p.tolist())),
-                     _series_summary(ts, p))
+    return RunResult(config, {"t": ts, "probability": p}, _series_summary(ts, p))
 
 
 def unencoded_detuned_evolution(m: int, profile: DetuningProfile,
@@ -182,8 +186,7 @@ def unencoded_detuned_evolution(m: int, profile: DetuningProfile,
         "detunings": list(profile.omegas), "detuning_scale": profile.scale,
         "grid_points": len(ts), "t_max": float(ts[-1]),
     }
-    return RunResult(config, ["t", "probability"], list(zip(ts.tolist(), p.tolist())),
-                     _series_summary(ts, p))
+    return RunResult(config, {"t": ts, "probability": p}, _series_summary(ts, p))
 
 
 def _series_summary(ts: np.ndarray, p: np.ndarray) -> dict:
@@ -221,9 +224,9 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
         x0 = (2**l - 1) if with_encoding else (2**m_phys - 1)
     coupling, v, anchor = _search_problem(m_phys, x0, with_encoding)
     rng = np.random.default_rng(seed)
-    rows = []
     per_trial = np.empty((len(sigma_grid), trials))
-    for sigma, maxima in zip(sigma_grid, per_trial):
+    means, stderrs = np.empty(len(sigma_grid)), np.empty(len(sigma_grid))
+    for i, (sigma, maxima) in enumerate(zip(sigma_grid, per_trial)):
         for k in range(trials):
             omegas = omega_mean + sigma * omega_mean * standard_normals(rng, m_phys)
             d = detuning_diagonal(DetuningProfile(tuple(omegas)), m_phys)
@@ -231,26 +234,26 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
         # centred on the first trial, so identical maxima give their own
         # value and a spread of exactly zero
         dev = maxima - maxima[0]
-        stderr = float(dev.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        rows.append((sigma, float(maxima[0] + dev.mean()), stderr))
+        means[i] = maxima[0] + dev.mean()
+        stderrs[i] = dev.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
     config = {
         "scenario": "monte_carlo_sweep", "m_physical": m_phys, "with_encoding": with_encoding,
         "x0": x0, "trials": trials, "omega_mean": omega_mean, "sigma_grid": sigma_grid,
         "seed": seed, "grid_points": grid_points, "t_max": float(ts[-1]),
     }
     summary = {"seed": seed, "per_trial_max": per_trial, "sigmas": sigma_grid}
-    return RunResult(config, ["sigma", "mean_max_probability", "stderr"], rows, summary)
+    data = {"sigma": np.array(sigma_grid), "mean_max_probability": means, "stderr": stderrs}
+    return RunResult(config, data, summary)
 
 
 def code_size_table(m_values) -> RunResult:
     """Exact and usable logical-qubit counts vs the t=1 Hamming-bound limit."""
-    rows = []
-    for m in m_values:
-        lq = dfs.logical_qubit_count(m)
-        rows.append((int(m), lq.exact, lq.floor, dfs.hamming_bound_logical(m, 1)))
-    config = {"scenario": "code_size_table", "m_values": [int(m) for m in m_values]}
-    return RunResult(config, ["m", "exact_l", "floor_l", "hamming_l"], rows,
-                     {"rows": len(rows)})
+    ms = [int(m) for m in m_values]
+    counts = [dfs.logical_qubit_count(m) for m in ms]
+    data = {"m": np.array(ms), "exact_l": np.array([lq.exact for lq in counts]),
+            "floor_l": np.array([lq.floor for lq in counts]),
+            "hamming_l": np.array([dfs.hamming_bound_logical(m, 1) for m in ms])}
+    return RunResult({"scenario": "code_size_table", "m_values": ms}, data, {"rows": len(ms)})
 
 
 def fig2_amplitudes() -> list:
@@ -261,24 +264,20 @@ def fig2_amplitudes() -> list:
     flip, (d) after the second Hadamard, (e) after the completed step
     (global sign included), (f) after the closing Hadamard.
     """
-    m, x0 = 3, 7
-    h = gates.hadamard(m)
-    i_x0 = gates.phase_inversion(m, x0)
-    i_s = gates.phase_inversion(m, 0)
-    minus = DenseOperator(-np.eye(2**m), frozenset({"unitary"}))
-    states = [basis_state(m, 0)]
-    for op in (h, i_x0, h, i_s, h):
-        states.append(apply(op, states[-1]))
+    h = gates.hadamard(3).matrix
+    start = np.zeros(8, dtype=np.complex128)
+    start[0] = 1.0
+    spread = h @ start
+    marked = spread.copy()
+    marked[7] = -marked[7]            # phase flip of the marked item |111>
+    mixed = h @ marked
+    inverted = mixed.copy()
+    inverted[0] = -inverted[0]        # phase flip of the start state |000>
     # stages (e) and (f) carry the step's global minus sign
-    states[4] = apply(minus, states[4])
-    states[5] = apply(minus, states[5])
-    vectors = []
-    for st in states:
-        amps = st.amplitudes
-        if np.max(np.abs(amps.imag)) > 1e-14:
-            raise AssertionError("search stages should have real amplitudes")
-        vectors.append(amps.real.copy())
-    return vectors
+    states = [start, spread, marked, mixed, -inverted, -(h @ inverted)]
+    if max(np.max(np.abs(amps.imag)) for amps in states) > 1e-14:
+        raise AssertionError("search stages should have real amplitudes")
+    return [amps.real.copy() for amps in states]
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +286,7 @@ def fig2_amplitudes() -> list:
 
 def scenario_fig2() -> RunResult:
     vectors = fig2_amplitudes()
-    columns = ["index", "a", "b", "c", "d", "e", "f"]
-    rows = [(i, *(vec[i] for vec in vectors)) for i in range(8)]
+    data = {"index": np.arange(8), **dict(zip("abcdef", vectors))}
     final = vectors[-1]
     config = {"scenario": "fig2", "m": 3, "x0": 7}
     summary = {
@@ -297,11 +295,13 @@ def scenario_fig2() -> RunResult:
         "note": "the marked-state amplitude (0.884) is sometimes quoted as a success "
                 "probability; the probability is its square, 25/32 = 0.78125",
     }
-    return RunResult(config, columns, rows, summary)
+    return RunResult(config, data, summary)
 
 
 def scenario_fig4(m: int = 3, x0: int | None = None, detunings=None,
                   t_max: float | None = None, grid_points: int = DEFAULT_GRID_POINTS) -> RunResult:
+    if m < 1:
+        raise ValueError(f"the qubit count (--m) must be >= 1, got {m}")
     if x0 is None:
         x0 = 2**m - 1
     if detunings is None:
@@ -315,17 +315,17 @@ def scenario_fig4(m: int = 3, x0: int | None = None, detunings=None,
     detuned = evolve_with_errors(inst, profile, ts)[:, 1]
     config = {"scenario": "fig4", "m": m, "x0": x0, "detunings": list(profile.omegas),
               "detuning_scale": profile.scale, "t_max": t_max, "grid_points": grid_points}
-    rows = list(zip(ts.tolist(), ideal.tolist(), detuned.tolist()))
     summary = {
         "ideal": _series_summary(ts, ideal),
         "detuned": _series_summary(ts, detuned),
     }
-    return RunResult(config, ["t", "p_ideal", "p_detuned"], rows, summary)
+    return RunResult(config, {"t": ts, "p_ideal": ideal, "p_detuned": detuned}, summary)
 
 
 def scenario_fig5(m_max: int = 20) -> RunResult:
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
+    if not 2 <= m_max <= FIG5_M_MAX:
+        raise ValueError(f"the largest qubit count (--m-max) must lie in 2..{FIG5_M_MAX}, "
+                         f"got {m_max}")
     result = code_size_table(range(2, m_max + 1, 2))
     result.config = {"scenario": "fig5", "m_max": m_max}
     return result
@@ -333,6 +333,7 @@ def scenario_fig5(m_max: int = 20) -> RunResult:
 
 def scenario_fig6(m: int = 8, x0: int | None = None, detunings=None,
                   t_max: float | None = None, grid_points: int = DEFAULT_GRID_POINTS) -> RunResult:
+    _require_even_qubits(m)
     if detunings is None:
         detunings = BENCHMARK_DETUNINGS_8Q if m == 8 else (0.0,) * m
     profile = DetuningProfile(tuple(detunings))
@@ -347,44 +348,46 @@ def scenario_fig6(m: int = 8, x0: int | None = None, detunings=None,
               "x0_logical": x0_logical, "x0_unencoded": 2**m - 1,
               "detunings": list(profile.omegas), "detuning_scale": profile.scale,
               "t_max": float(ts[-1]), "grid_points": grid_points}
-    rows = list(zip(ts.tolist(), ideal.tolist(), detuned.tolist(), encoded.tolist()))
     summary = {
         "ideal_logical": _series_summary(ts, ideal),
         "detuned_unencoded": _series_summary(ts, detuned),
         "encoded": _series_summary(ts, encoded),
         "ideal_peak_time": ideal_peak_time(l),
     }
-    return RunResult(config, ["t", "p_ideal_logical", "p_detuned_unencoded", "p_encoded"],
-                     rows, summary)
+    data = {"t": ts, "p_ideal_logical": ideal, "p_detuned_unencoded": detuned,
+            "p_encoded": encoded}
+    return RunResult(config, data, summary)
+
+
+def _require_even_qubits(m: int) -> None:
+    if m < 2 or m % 2:
+        raise ValueError(f"balanced codes need an even physical qubit count (--m) >= 2, got {m}")
 
 
 def scenario_fig7(m: int = 8, trials: int = DEFAULT_TRIALS,
                   omega_mean: float = DEFAULT_OMEGA_MEAN, sigma_grid=None,
                   seed: int = DEFAULT_SEED, grid_points: int = DEFAULT_GRID_POINTS) -> RunResult:
+    _require_even_qubits(m)
     if sigma_grid is None:
         sigma_grid = parse_sigma_grid(DEFAULT_SIGMA_GRID)
     encoded = monte_carlo_sweep(m, trials, omega_mean, sigma_grid, seed,
                                 with_encoding=True, grid_points=grid_points)
     unencoded = monte_carlo_sweep(m, trials, omega_mean, sigma_grid, seed,
                                   with_encoding=False, grid_points=grid_points)
-    rows = [
-        (s, enc[1], enc[2], une[1], une[2])
-        for s, enc, une in zip(sigma_grid, encoded.rows, unencoded.rows)
-    ]
     config = {"scenario": "fig7", "m_physical": m, "trials": trials,
               "omega_mean": omega_mean, "sigma_grid": [float(s) for s in sigma_grid],
               "seed": seed, "grid_points": grid_points,
               "x0_logical": encoded.config["x0"], "x0_unencoded": unencoded.config["x0"],
               "t_max": encoded.config["t_max"]}
-    summary = {
-        "seed": seed,
-        "encoded_per_trial_max": encoded.summary["per_trial_max"],
-        "unencoded_per_trial_max": unencoded.summary["per_trial_max"],
-        "sigmas": [float(s) for s in sigma_grid],
-    }
-    columns = ["sigma", "encoded_mean_max_p", "encoded_stderr",
-               "unencoded_mean_max_p", "unencoded_stderr"]
-    return RunResult(config, columns, rows, summary)
+    summary = {"seed": seed, "encoded_per_trial_max": encoded.summary["per_trial_max"],
+               "unencoded_per_trial_max": unencoded.summary["per_trial_max"],
+               "sigmas": [float(s) for s in sigma_grid]}
+    data = {"sigma": encoded.data["sigma"],
+            "encoded_mean_max_p": encoded.data["mean_max_probability"],
+            "encoded_stderr": encoded.data["stderr"],
+            "unencoded_mean_max_p": unencoded.data["mean_max_probability"],
+            "unencoded_stderr": unencoded.data["stderr"]}
+    return RunResult(config, data, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +465,13 @@ def _dispatch(args: argparse.Namespace) -> RunResult:
     pick = lambda value, default: default if value is None else value
     if args.scenario == "fig2":
         return scenario_fig2()
-    if args.scenario == "fig4":
-        m = pick(args.m, 3)
+    if args.scenario in ("fig4", "fig6"):
+        run, m = (scenario_fig4, 3) if args.scenario == "fig4" else (scenario_fig6, 8)
         detunings = parse_detunings(args.detunings) if args.detunings else None
-        return scenario_fig4(m, args.x0, detunings, args.t_max,
-                             pick(args.grid_points, DEFAULT_GRID_POINTS))
+        return run(pick(args.m, m), args.x0, detunings, args.t_max,
+                   pick(args.grid_points, DEFAULT_GRID_POINTS))
     if args.scenario == "fig5":
         return scenario_fig5(pick(args.m_max, 20))
-    if args.scenario == "fig6":
-        m = pick(args.m, 8)
-        detunings = parse_detunings(args.detunings) if args.detunings else None
-        return scenario_fig6(m, args.x0, detunings, args.t_max,
-                             pick(args.grid_points, DEFAULT_GRID_POINTS))
     if args.scenario == "fig7":
         sigma_grid = parse_sigma_grid(pick(args.sigma_grid, DEFAULT_SIGMA_GRID))
         return scenario_fig7(pick(args.m, 8), pick(args.trials, DEFAULT_TRIALS),

@@ -162,9 +162,12 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
     """States exp(-i H t) psi0 for every t in `times`, as a (T, dim) array.
 
-    H must be hermitian (units of hbar/tau).  The eigendecomposition of H
-    is computed once and reused across the whole grid, which is exact at
-    the matrix sizes used here.
+    H must be hermitian (units of hbar/tau).  Only the block of H that psi0
+    reaches is diagonalized: starting from the support of psi0, the
+    reachable set grows through the nonzero entries of H until it stops
+    changing, and every amplitude outside it stays exactly 0 for all t.
+    The block's eigendecomposition is computed once and reused across the
+    whole grid, which is exact at the matrix sizes used here.
     """
     dev = np.max(np.abs(H.matrix - H.matrix.conj().T))
     if dev > HERMITIAN_TOL:
@@ -172,6 +175,17 @@ def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
     if H.dim != psi0.dim:
         raise ValueError(f"operator dimension {H.dim} does not match state dimension {psi0.dim}")
     ts = np.asarray(times, dtype=float)
-    w, U = np.linalg.eigh(H.matrix)
-    c = U.conj().T @ psi0.amplitudes
+    # both triangles: eigh reads one, and H is hermitian only to HERMITIAN_TOL
+    coupled = (H.matrix != 0) | (H.matrix.T != 0)
+    reach = psi0.amplitudes != 0
+    while True:
+        grown = reach | coupled[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    block = np.flatnonzero(reach)
+    w, u = np.linalg.eigh(H.matrix[np.ix_(block, block)])
+    U = np.zeros((H.dim, len(block)), dtype=np.complex128)
+    U[block] = u
+    c = u.conj().T @ psi0.amplitudes[block]
     return (np.exp(-1j * np.outer(ts, w)) * c) @ U.T

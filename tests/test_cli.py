@@ -239,3 +239,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["fig4", "--m", "0"], "the qubit count (--m) must be >= 1, got 0"),
+    (["fig6", "--m", "0"], "even physical qubit count (--m) >= 2, got 0"),
+    (["fig6", "--m", "3"], "even physical qubit count (--m) >= 2, got 3"),
+    (["fig7", "--m", "3", "--trials", "2"], "even physical qubit count (--m) >= 2, got 3"),
+    (["fig5", "--m-max", "1"], "(--m-max) must lie in 2..4000, got 1"),
+    (["fig5", "--m-max", "4001"], "(--m-max) must lie in 2..4000, got 4001"),
+], ids=["fig4-m0", "fig6-m0", "fig6-m3", "fig7-m3", "fig5-m-max-1", "fig5-m-max-4001"])
+def test_qubit_counts_out_of_range_exit_2_naming_the_flag(tmp_path, capsys, args, message):
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fig5_runs_at_its_largest_m_max(tmp_path):
+    out = tmp_path / "fig5.csv"
+    assert run_cli(["fig5", "--m-max", "4000", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 2000 and lines[-1].startswith("4000,")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groverdfs import experiments as xp
-from groverdfs import hamiltonian
+from groverdfs import dfs, hamiltonian
 from groverdfs.hamiltonian import DetuningProfile, evolve_with_errors
 from groverdfs.grover import GroverInstance
 
@@ -317,3 +317,105 @@ def test_run_result_round_trip(tmp_path):
     payload = json.loads(json_path.read_text())
     assert payload["columns"] == result.columns
     assert payload["config"]["scenario"] == "fig5"
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_encoded_series_does_not_depend_on_the_logical_marked_item(m):
+    # the encoded counterpart of the unencoded gauge test in test_hamiltonian
+    profile = DetuningProfile(tuple(np.random.default_rng(m).normal(size=m)))
+    l = dfs.balanced_code(m).logical_qubits
+    ts = xp.search_window(l)
+    first = xp.encoded_grover_evolution(m, profile, 0, ts).column("probability")
+    for x0 in range(1, 2**l):
+        p = xp.encoded_grover_evolution(m, profile, x0, ts).column("probability")
+        assert np.array_equal(p, first)
+
+
+def _cell(x) -> str:
+    """One CSV cell as the writer formatted it cell by cell: the reference."""
+    return str(int(x)) if isinstance(x, int) else format(float(x), ".17g")
+
+
+_SIGMAS = [0.0, 0.5]
+RESULTS = {
+    "fig2": xp.scenario_fig2,
+    "fig4": lambda: xp.scenario_fig4(grid_points=30),
+    "fig5": lambda: xp.scenario_fig5(m_max=24),
+    "fig6": lambda: xp.scenario_fig6(grid_points=30),
+    "fig7": lambda: xp.scenario_fig7(trials=3, sigma_grid=_SIGMAS, seed=3, grid_points=40),
+    "encoded": lambda: xp.encoded_grover_evolution(4, DetuningProfile((0.1, 0.2, 0.3, 0.4))),
+    "unencoded": lambda: xp.unencoded_detuned_evolution(3, DetuningProfile((0.5, 0.3, 0.2))),
+    "sweep": lambda: xp.monte_carlo_sweep(4, 3, 0.5, _SIGMAS, 1, with_encoding=False),
+    "table": lambda: xp.code_size_table([2, 6, 40]),
+}
+
+
+def test_printf_and_format_agree_on_every_kind_of_double():
+    rng = np.random.default_rng(7)
+    values = (rng.choice([-1.0, 1.0], 2000) * rng.random(2000)
+              * 10.0 ** rng.uniform(-300, 300, 2000)).tolist()
+    tiny = np.finfo(float).smallest_subnormal
+    values += [0.0, -0.0, tiny, -tiny, 12345 * tiny, np.finfo(float).tiny * 0.5,
+               np.finfo(float).max, math.inf, -math.inf, math.nan, 1 / 3, 0.1, 1e16, 2.0**53 + 2]
+    for x in values:
+        assert "%.17g" % x == format(x, ".17g")
+
+
+def test_integer_columns_are_written_as_integers(tmp_path):
+    for result, names in ((xp.scenario_fig5(m_max=12), ("m", "floor_l")),
+                          (xp.scenario_fig2(), ("index",))):
+        result.write_csv(tmp_path / "x.csv")
+        lines = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()
+        for name in names:
+            assert result.column(name).dtype.kind == "i"
+            j = result.columns.index(name)
+            cells = [line.split(",")[j] for line in lines[1:]]
+            assert cells == [str(int(x)) for x in result.column(name)]
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_rows_columns_and_column_agree(tmp_path, name):
+    result = RESULTS[name]()
+    assert result.columns == list(result.data)
+    rows = result.rows
+    assert all(type(row) is tuple and len(row) == len(result.columns) for row in rows)
+    for j, col_name in enumerate(result.columns):
+        col = result.column(col_name)
+        assert col.ndim == 1 and col.tolist() == [row[j] for row in rows]
+        assert all(type(row[j]) in (int, float) for row in rows)
+        with pytest.raises(ValueError):
+            col[0] = 0
+    # the writer is byte-identical to formatting one cell at a time
+    result.write_csv(tmp_path / "x.csv")
+    expected = [",".join(result.columns), *(",".join(map(_cell, row)) for row in rows)]
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    payload = json.loads(json.dumps(result.to_json_dict()))
+    assert payload["columns"] == result.columns
+    assert payload["rows"] == [list(row) for row in rows]
+
+
+def test_column_is_read_only_and_leaves_the_builders_array_writable():
+    # fig7 stacks the sweeps' columns, so a column is a read-only view, and
+    # the array a builder passed in is not frozen
+    ts = np.linspace(0.0, 1.0, 3)
+    result = xp.RunResult({}, {"t": ts})
+    ts[0] = 0.5
+    with pytest.raises(ValueError):
+        result.column("t")[0] = 1.0
+
+
+def test_one_column_result(tmp_path):
+    tiny = np.finfo(float).smallest_subnormal
+    result = xp.RunResult({"scenario": "one"}, {"x": np.array([1.5, -0.0, tiny, math.inf])})
+    result.write_csv(tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == \
+        "x\n1.5\n-0\n4.9406564584124654e-324\ninf\n"
+    assert result.rows == [(1.5,), (-0.0,), (tiny,), (math.inf,)]
+    assert result.to_json_dict() == {"config": {"scenario": "one"}, "columns": ["x"],
+                                     "rows": [[1.5], [-0.0], [tiny], [math.inf]],
+                                     "summary": {}}
+    # %d keeps integers beyond 17 significant digits exact
+    counts = xp.RunResult({}, {"n": np.array([0, -1, 2**62 + 1])})
+    counts.write_csv(tmp_path / "n.csv")
+    assert (tmp_path / "n.csv").read_text(encoding="utf-8") == \
+        "n\n0\n-1\n4611686018427387905\n"

@@ -585,3 +585,34 @@ def test_oversized_time_grid_is_refused_before_allocating(monkeypatch):
 def test_physical_memory_is_reported():
     available = ham.physical_memory()
     assert available is None or available > 0
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_detuned_series_does_not_depend_on_the_marked_item(m):
+    # |(H|x0>)_x| = 2^(-m/2) for every x and (H|x0>)_0 > 0, and the series
+    # reads the target only through its squared weights, its support and its
+    # anchor amplitude: every marked item gives the same series, bit for bit
+    profile = ham.DetuningProfile(tuple(np.random.default_rng(m).normal(size=m)))
+    ts = ham.time_grid(30.0, 200)
+    first = ham.evolve_with_errors(GroverInstance(m, 0), profile, ts)[:, 1]
+    for x0 in range(1, 2**m):
+        assert np.array_equal(ham.evolve_with_errors(GroverInstance(m, x0), profile, ts)[:, 1],
+                              first)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("m", range(3, 11))
+def test_detuned_series_is_even_in_the_detunings(m, seed):
+    # complex conjugation maps H_G + D to -(H_G - D), so D -> -D leaves P(t)
+    # unchanged, on the plain register and, for even m, on the code
+    omegas = np.random.default_rng(seed).normal(size=m)
+    plus, minus = ham.DetuningProfile(tuple(omegas)), ham.DetuningProfile(tuple(-omegas))
+    ts = ham.time_grid(30.0, 200)
+    inst = GroverInstance(m, 2**m - 1)
+    dev = np.max(np.abs(ham.evolve_with_errors(inst, plus, ts)[:, 1]
+                        - ham.evolve_with_errors(inst, minus, ts)[:, 1]))
+    assert dev <= 1e-14
+    if m % 2 == 0:
+        encoded = [xp.encoded_grover_evolution(m, p, t_grid=ts).column("probability")
+                   for p in (plus, minus)]
+        assert np.max(np.abs(encoded[0] - encoded[1])) <= 1e-14

@@ -234,3 +234,70 @@ def test_evolve_grid_matches_pointwise():
 def test_bit_at_convention():
     # index 3 on four qubits is |0011>
     assert [sv.bit_at(3, i, 4) for i in range(1, 5)] == [0, 0, 1, 1]
+
+
+def _full_eigh_evolution(h, times, psi):
+    """exp(-i H t) psi over the grid from the eigendecomposition of all of H."""
+    w, u = np.linalg.eigh(h)
+    return (np.exp(-1j * np.outer(times, w)) * (u.conj().T @ psi)) @ u.T
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evolve_grid_solves_only_the_reached_block(seed):
+    # hermitian chains (tridiagonal blocks) in a randomly permuted basis: psi0
+    # on a random subset reaches exactly the chains that subset touches, one
+    # link per growth step
+    rng = np.random.default_rng(seed)
+    m, blocks = 5, 5
+    dim = 2**m
+    sizes = rng.multinomial(dim - blocks, np.full(blocks, 1 / blocks)) + 1
+    chains = np.split(rng.permutation(dim), np.cumsum(sizes)[:-1])
+    h = np.zeros((dim, dim), dtype=complex)
+    for chain in chains:
+        h[chain, chain] = rng.normal(size=len(chain))
+        links = rng.normal(size=len(chain) - 1) + 1j * rng.normal(size=len(chain) - 1)
+        h[chain[:-1], chain[1:]] = links
+        h[chain[1:], chain[:-1]] = links.conj()
+    support = rng.choice(dim, size=rng.integers(1, 4), replace=False)
+    psi = np.zeros(dim, dtype=complex)
+    psi[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    psi /= np.linalg.norm(psi)
+    reached = np.zeros(dim, dtype=bool)
+    for chain in chains:
+        reached[chain] |= np.isin(chain, support).any()
+    times = np.linspace(0.0, 5.0, 9)
+    states = sv.evolve_grid(sv.DenseOperator(h, frozenset({"hermitian"})), times,
+                            sv.StateVector(m, psi))
+    assert np.all(states[:, ~reached] == 0)
+    assert np.max(np.abs(states - _full_eigh_evolution(h, times, psi))) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [4, 8])
+@pytest.mark.parametrize("encoded", [True, False], ids=["encoded", "unencoded"])
+def test_evolve_grid_on_fig7_generators(m, encoded):
+    # fig7's dense replay: the encoded generator reaches only the code words,
+    # the unencoded one every basis state
+    from groverdfs import dfs, hamiltonian
+    from groverdfs.experiments import search_window
+    from groverdfs.grover import GroverInstance
+
+    rng = np.random.default_rng(m)
+    profile = hamiltonian.DetuningProfile(tuple(0.5 + 0.5 * rng.normal(size=m)))
+    code = dfs.balanced_code(m)
+    if encoded:
+        inst = GroverInstance(code.logical_qubits, 2**code.logical_qubits - 1)
+        iso = code.isometry
+        gen = iso @ hamiltonian.grover_hamiltonian(inst).operator.matrix @ iso.conj().T
+        psi = iso @ inst.start_state().amplitudes
+        reached = np.isin(np.arange(2**m), code.code_indices)
+    else:
+        inst = GroverInstance(m, 2**m - 1)
+        gen = hamiltonian.grover_hamiltonian(inst).operator.matrix
+        psi = inst.start_state().amplitudes
+        reached = np.ones(2**m, dtype=bool)
+    h = gen + np.diag(hamiltonian.detuning_diagonal(profile, m))
+    times = search_window(code.logical_qubits)
+    states = sv.evolve_grid(sv.DenseOperator(h, frozenset({"hermitian"})), times,
+                            sv.StateVector(m, psi))
+    assert np.all(states[:, ~reached] == 0)
+    assert np.max(np.abs(states - _full_eigh_evolution(h, times, psi))) <= 1e-13
