@@ -25,8 +25,8 @@ import numpy as np
 from . import dfs, gates
 from .grover import GroverInstance
 from .hamiltonian import (DEFAULT_GRID_POINTS, DetuningProfile, _refuse_beyond_memory,
-                          coupled_success_series, detuning_diagonal,
-                          evolve_with_errors, time_grid)
+                          coupled_success_series, evolve_with_errors, sign_columns,
+                          signed_detunings, time_grid)
 
 # Detunings of the 8-qubit benchmark, in units of <s|v>/tau = 2^-4.
 BENCHMARK_DETUNINGS_8Q = (0.92065, 1.1436, 0.71449, 1.39566, 1.29707, 0.70149, 1.19195, 1.00343)
@@ -124,47 +124,31 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _search_problem(m_phys: int, x0: int, with_encoding: bool) -> tuple:
-    """The detuning-independent arguments (coupling, v, anchor) of
-    coupled_success_series for the search on m_phys physical qubits.
-
-    Unencoded, the generator couples |v> = H|x0> to the start state |0...0>
-    with strength 2 eps.  Encoded, the logical generator (overlap 2^(-l/2))
-    is lifted through the code isometry V: it couples V v_L to the encoded
-    start state V|0...0>, and since the code words are basis states, V v_L
-    scatters v_L onto the code indices and V|0...0> is one basis state.
-    """
-    if not with_encoding:
-        inst = GroverInstance(m_phys, x0)
-        return 2.0 * inst.epsilon, inst.target_state().amplitudes.real, 0
-    code = dfs.balanced_code(m_phys)
-    l = code.logical_qubits
-    if not 0 <= x0 < 2**l:
-        raise ValueError(f"logical marked item {x0} out of range for {l} qubits")
-    logical = GroverInstance(l, x0)
-    v_phys = np.zeros(2**m_phys)
-    v_phys[np.array(code.code_indices)] = logical.target_state().amplitudes.real
-    return 2.0 * logical.epsilon, v_phys, code.basis_states[0]
-
-
-def _encoded_series(m_phys: int, profile: DetuningProfile, x0_logical: int,
-                    ts: np.ndarray) -> np.ndarray:
-    """Success probabilities |<V v_L | psi(t)>|^2 of the encoded search under
-    physical detunings, with psi(0) = V|0...0>."""
-    coupling, v, anchor = _search_problem(m_phys, x0_logical, True)
-    d = detuning_diagonal(profile, m_phys)
-    return coupled_success_series(coupling, v, anchor, d, ts)
+    """(coupling, support, anchor) of the search on m_phys physical qubits.
+    Unencoded, the generator couples |v> = H|x0> on all 2^m basis states to
+    |0...0> (anchor 0) with strength 2 eps, eps = 2^(-m/2).  Encoded, the
+    logical one (eps = 2^(-l/2)) is lifted through the code isometry V onto
+    the code words, basis states whose first is V|0...0>.  The series takes
+    v = eps on the support (see evolve_with_errors); x0 is only range-checked."""
+    if with_encoding:
+        code = dfs.balanced_code(m_phys)
+        n, support = code.logical_qubits, np.array(code.code_indices)
+    else:
+        n, support = m_phys, np.arange(2**m_phys)
+    return 2.0 * GroverInstance(n, x0).epsilon, support, 0
 
 
 def encoded_grover_evolution(m_phys: int, profile: DetuningProfile,
                              x0_logical: int | None = None,
                              t_grid=None) -> RunResult:
     """Encoded search on m_phys qubits with per-qubit detunings."""
-    code = dfs.balanced_code(m_phys)
-    l = code.logical_qubits
+    l = dfs.balanced_code(m_phys).logical_qubits
     if x0_logical is None:
         x0_logical = 2**l - 1
     ts = np.asarray(t_grid, dtype=float) if t_grid is not None else search_window(l)
-    p = _encoded_series(m_phys, profile, x0_logical, ts)
+    coupling, support, anchor = _search_problem(m_phys, x0_logical, True)
+    d = signed_detunings(profile, sign_columns(m_phys, support))
+    p = coupled_success_series(coupling, coupling / 2.0, anchor, d, ts, qubits=m_phys)
     config = {
         "scenario": "encoded_evolution", "m_physical": m_phys, "m_logical": l,
         "x0_logical": x0_logical, "detunings": list(profile.omegas),
@@ -204,7 +188,10 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     drawn with omega_i ~ Normal(omega_mean, (sigma * omega_mean)^2) (units
     of <s|v>/tau of the physical system; negative draws are kept) and the
     maximum of P(t) over the search window is averaged across trials.  The
-    summary keeps every trial's maximum as one (spreads x trials) array.
+    window is [0, 2 * ideal peak time] of the logical system, extended
+    unencoded to the m-qubit search's own ideal peak time, which lies beyond
+    it for m >= 10.  The summary keeps every trial's maximum as one
+    (spreads x trials) array.
     """
     if trials < 1:
         raise ValueError(f"the trial count (--trials) must be >= 1, got {trials}")
@@ -219,18 +206,22 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     _refuse_beyond_memory(8 * len(sigma_grid) * trials,
                           f"{trials} trials (--trials) at {len(sigma_grid)} spreads")
     l = dfs.balanced_code(m_phys).logical_qubits
-    ts = search_window(l, points=grid_points)
+    t_max = 2.0 * ideal_peak_time(l)
+    if not with_encoding:
+        t_max = max(t_max, ideal_peak_time(m_phys))
+    ts = time_grid(t_max, grid_points)
     if x0 is None:
         x0 = (2**l - 1) if with_encoding else (2**m_phys - 1)
-    coupling, v, anchor = _search_problem(m_phys, x0, with_encoding)
+    coupling, support, anchor = _search_problem(m_phys, x0, with_encoding)
+    signs, v = sign_columns(m_phys, support), coupling / 2.0
     rng = np.random.default_rng(seed)
     per_trial = np.empty((len(sigma_grid), trials))
     means, stderrs = np.empty(len(sigma_grid)), np.empty(len(sigma_grid))
     for i, (sigma, maxima) in enumerate(zip(sigma_grid, per_trial)):
         for k in range(trials):
             omegas = omega_mean + sigma * omega_mean * standard_normals(rng, m_phys)
-            d = detuning_diagonal(DetuningProfile(tuple(omegas)), m_phys)
-            maxima[k] = coupled_success_series(coupling, v, anchor, d, ts).max()
+            d = signed_detunings(DetuningProfile(tuple(omegas)), signs)
+            maxima[k] = coupled_success_series(coupling, v, anchor, d, ts, qubits=m_phys).max()
         # centred on the first trial, so identical maxima give their own
         # value and a spread of exactly zero
         dev = maxima - maxima[0]
@@ -304,6 +295,7 @@ def scenario_fig4(m: int = 3, x0: int | None = None, detunings=None,
         raise ValueError(f"the qubit count (--m) must be >= 1, got {m}")
     if x0 is None:
         x0 = 2**m - 1
+    _require_marked_item(x0, m, "marked item")
     if detunings is None:
         detunings = (0.5, 0.3, 0.2) if m == 3 else (0.0,) * m
     profile = DetuningProfile(tuple(detunings))
@@ -311,6 +303,7 @@ def scenario_fig4(m: int = 3, x0: int | None = None, detunings=None,
     if t_max is None:
         t_max = 4.0 * inst.n_optimal * inst.tau
     ts = time_grid(t_max, grid_points)
+    _require_phase_precision(ts, 2.0 * inst.epsilon, profile)
     ideal = evolve_with_errors(inst, DetuningProfile.zeros(m), ts)[:, 1]
     detuned = evolve_with_errors(inst, profile, ts)[:, 1]
     config = {"scenario": "fig4", "m": m, "x0": x0, "detunings": list(profile.omegas),
@@ -340,10 +333,12 @@ def scenario_fig6(m: int = 8, x0: int | None = None, detunings=None,
     code = dfs.balanced_code(m)
     l = code.logical_qubits
     x0_logical = (2**l - 1) if x0 is None else x0
+    _require_marked_item(x0_logical, l, "logical marked item")
     ts = search_window(l, t_max, grid_points)
+    _require_phase_precision(ts, 2.0 * 2.0 ** (-l / 2.0), profile)
     ideal = evolve_with_errors(GroverInstance(l, x0_logical), DetuningProfile.zeros(l), ts)[:, 1]
     detuned = evolve_with_errors(GroverInstance(m, 2**m - 1), profile, ts)[:, 1]
-    encoded = _encoded_series(m, profile, x0_logical, ts)
+    encoded = encoded_grover_evolution(m, profile, x0_logical, ts).column("probability")
     config = {"scenario": "fig6", "m_physical": m, "m_logical": l,
               "x0_logical": x0_logical, "x0_unencoded": 2**m - 1,
               "detunings": list(profile.omegas), "detuning_scale": profile.scale,
@@ -364,6 +359,32 @@ def _require_even_qubits(m: int) -> None:
         raise ValueError(f"balanced codes need an even physical qubit count (--m) >= 2, got {m}")
 
 
+def _require_marked_item(x0: int, qubits: int, what: str) -> None:
+    if not 0 <= x0 < 2**qubits:
+        raise ValueError(f"the {what} (--x0) must lie in 0..{2**qubits - 1}, got {x0}")
+
+
+# P(t) sums terms exp(-i lam t) over the generator's spectrum, where
+# |lam| <= rho <= coupling + sum_i |omega_i| (Weyl's bound).  The double
+# phase lam t carries a rounding error of about eps rho t (eps = 2.2e-16),
+# and P moves by up to about twice the phase error.  Beyond eps rho t_max =
+# 0.05 that reaches 0.1, the place of P's first significant digit (P <= 1),
+# so the series keeps no digit.  fig4's tested windows, up to t = 1e4, stay
+# near 2e-12, ten orders of magnitude below.
+PHASE_ERROR_LIMIT = 0.05
+
+
+def _require_phase_precision(ts: np.ndarray, coupling: float, profile: DetuningProfile) -> None:
+    rho = coupling + float(np.abs(profile.absolute()).sum())
+    eps = np.finfo(float).eps
+    if eps * rho * ts[-1] > PHASE_ERROR_LIMIT:
+        raise ValueError(
+            f"the time window end t_max (--t-max) must be at most "
+            f"{PHASE_ERROR_LIMIT / (eps * rho):.3g} for these detunings, got {ts[-1]:g}: "
+            f"phases up to {rho:.3g} t would carry rounding errors of "
+            f"{eps * rho * ts[-1]:.2g} and leave P(t) no significant digit")
+
+
 def scenario_fig7(m: int = 8, trials: int = DEFAULT_TRIALS,
                   omega_mean: float = DEFAULT_OMEGA_MEAN, sigma_grid=None,
                   seed: int = DEFAULT_SEED, grid_points: int = DEFAULT_GRID_POINTS) -> RunResult:
@@ -378,7 +399,7 @@ def scenario_fig7(m: int = 8, trials: int = DEFAULT_TRIALS,
               "omega_mean": omega_mean, "sigma_grid": [float(s) for s in sigma_grid],
               "seed": seed, "grid_points": grid_points,
               "x0_logical": encoded.config["x0"], "x0_unencoded": unencoded.config["x0"],
-              "t_max": encoded.config["t_max"]}
+              "t_max": encoded.config["t_max"], "t_max_unencoded": unencoded.config["t_max"]}
     summary = {"seed": seed, "encoded_per_trial_max": encoded.summary["per_trial_max"],
                "unencoded_per_trial_max": unencoded.summary["per_trial_max"],
                "sigmas": [float(s) for s in sigma_grid]}
@@ -428,7 +449,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a named scenario and write its results")
     run.add_argument("scenario", choices=tuple(_SCENARIO_FLAGS))
     run.add_argument("--m", type=int, default=None, help="qubit count (physical for fig6/fig7)")
-    run.add_argument("--x0", type=int, default=None, help="marked item (logical for fig6)")
+    run.add_argument("--x0", type=int, default=None,
+                     help="marked item (logical for fig6); the detuned series do not depend on "
+                          "it, so the CSVs are byte-identical across --x0 and only the config "
+                          "echo changes")
     run.add_argument("--detunings", type=str, default=None,
                      help="comma-separated per-qubit detunings in units of <s|v>/tau")
     run.add_argument("--trials", type=int, default=None, help="Monte Carlo sample count")

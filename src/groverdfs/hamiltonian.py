@@ -87,17 +87,30 @@ def grover_hamiltonian(inst: GroverInstance) -> GroverHamiltonian:
     return GroverHamiltonian(inst.m, inst.x0, op, 2.0 * inst.epsilon / inst.tau)
 
 
-def detuning_diagonal(profile: DetuningProfile, m: int) -> np.ndarray:
-    """Diagonal of H_d: entry x is sum_i omega_i (+1 if bit i of x is 0 else -1)."""
-    if profile.num_qubits != m:
-        raise ValueError(f"profile has {profile.num_qubits} detunings, expected {m}")
-    omegas = profile.absolute()
-    idx = np.arange(2**m)
-    diag = np.zeros(2**m)
-    for i in range(1, m + 1):
-        bit = (idx >> (m - i)) & 1
-        diag += omegas[i - 1] * (1 - 2 * bit)
+def sign_columns(m: int, indices: np.ndarray) -> np.ndarray:
+    """int8 table of s_i(x) = +1 if bit i of x is 0 else -1, a row per qubit
+    (qubit 1 the most significant bit) and a column per index x."""
+    signs = np.empty((m, indices.size), dtype=np.int8)
+    for i, row in enumerate(signs, start=1):
+        row[:] = 1 - 2 * ((indices >> (m - i)) & 1)
+    return signs
+
+
+def signed_detunings(profile: DetuningProfile, signs: np.ndarray) -> np.ndarray:
+    """sum_i omega_i s_i(x) for each column x of a sign table, summed from zeros
+    a qubit at a time.  Each omega_i s_i is exact, so an entry rounds alike on
+    any support; a sign-table matrix product would round differently."""
+    if profile.num_qubits != len(signs):
+        raise ValueError(f"profile has {profile.num_qubits} detunings, expected {len(signs)}")
+    diag = np.zeros(signs.shape[1])
+    for omega, s in zip(profile.absolute(), signs):
+        diag += omega * s
     return diag
+
+
+def detuning_diagonal(profile: DetuningProfile, m: int) -> np.ndarray:
+    """Diagonal of H_d on all 2^m basis states, the dense reference's input."""
+    return signed_detunings(profile, sign_columns(m, np.arange(2**m)))
 
 
 def detuning_hamiltonian(profile: DetuningProfile, m: int) -> DenseOperator:
@@ -122,18 +135,20 @@ _MIN_NODES = 31
 
 
 def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
-                           diag: np.ndarray, times) -> np.ndarray:
+                           diag: np.ndarray, times, *, qubits: int | None = None) -> np.ndarray:
     """P(t) = |<v| exp(-i H t) |anchor>|^2 on a time grid, where
 
         H = coupling * i (|v><anchor| - |anchor><v|) + diag(d)
 
-    with real v and d of length 2^m.  Via the phase i on every axis except
-    the anchor, H is a real symmetric arrowhead: diag(d) plus the row and
-    column -coupling * v at the anchor.  It is deflated exactly before it
-    is built: basis states other than the anchor with v_j = 0 are
-    decoupled and dropped, and those sharing a detuning d_j merge into one
-    pole p_J coupled with weight w_J = sqrt(sum v_j^2), because within such
-    a group only the direction of v couples to the anchor.  K levels remain.
+    with real d and v (or one v for every state) on all 2^m basis states or
+    on a support holding the anchor and every v_j != 0; a refusal names
+    `qubits` or log2 len(d).  Via the phase i on every axis except the
+    anchor, H is a real symmetric arrowhead: diag(d) plus the row and column
+    -coupling * v at the anchor.  It is deflated exactly before it is built:
+    basis states other than the anchor with v_j = 0 are decoupled and
+    dropped, and those sharing a detuning d_j merge into one pole p_J
+    coupled with weight w_J = sqrt(sum v_j^2), because within such a group
+    only the direction of v couples to the anchor.  K levels remain.
 
     The amplitude is sum_j weight_j exp(-i node_j t) for one of two
     (nodes, weights) pairs.  By the Schur complement of the anchor it is
@@ -167,8 +182,8 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     exactly.  Raises ValueError if the tables of the path that runs would
     not fit in physical memory.
     """
-    v = np.asarray(v, dtype=float)
     d = np.asarray(diag, dtype=float)
+    v = np.full(d.shape, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
     ts = np.asarray(times, dtype=float)
     rest = np.flatnonzero(v)
     rest = rest[rest != anchor]
@@ -203,7 +218,7 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     table = 2 * nodes * poles.size if contour else 2 * k * k + 2 * k * poles.size
     _refuse_beyond_memory(8 * (table + 2 * width * (coarse.size + fine.size)
                                + 2 * coarse.size * fine.size + 3 * n),
-                          f"the detuned series on {v.size.bit_length() - 1} qubits",
+                          f"the detuned series on {qubits or d.size.bit_length() - 1} qubits",
                           f" ({k}-level arrowhead, {n} time points)")
     if contour:
         u = log_rho + 2j * np.pi * (np.arange(nodes) + 0.5) / nodes
@@ -292,17 +307,16 @@ def evolve_with_errors(inst: GroverInstance, profile: DetuningProfile,
     Evolves |s> = |0...0> under the single combined hermitian matrix and
     reports P(t) = |<v|psi(t)>|^2 with |v> = H|x0> (the final-Hadamard
     convention: projecting the rotated frame on |v> equals applying the
-    closing Hadamard and projecting on |x0>).  Returns an array of
-    (t, probability) rows.
+    closing Hadamard and projecting on |x0>).  |v> enters only through
+    v^2 = eps^2 and v_s = +eps, so x0 drops out.  Returns (t, p) rows.
     """
     if t_grid is None:
         t_grid = default_time_grid(inst)
     ts = np.asarray(t_grid, dtype=float)
     if ts.size and (np.any(ts < 0) or np.any(np.diff(ts) < 0)):
         raise ValueError("time grid must be non-negative and ascending")
-    v = inst.target_state().amplitudes.real
     d = detuning_diagonal(profile, inst.m)
-    p = coupled_success_series(2.0 * inst.epsilon, v, 0, d, ts)
+    p = coupled_success_series(2.0 * inst.epsilon, inst.epsilon, 0, d, ts)
     return np.column_stack([ts, p])
 
 

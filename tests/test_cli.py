@@ -260,3 +260,47 @@ def test_fig5_runs_at_its_largest_m_max(tmp_path):
     assert run_cli(["fig5", "--m-max", "4000", "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 2000 and lines[-1].startswith("4000,")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["fig4", "--x0", "8"], "the marked item (--x0) must lie in 0..7, got 8"),
+    (["fig4", "--x0", "-1"], "the marked item (--x0) must lie in 0..7, got -1"),
+    (["fig4", "--m", "5", "--x0", "32"], "the marked item (--x0) must lie in 0..31, got 32"),
+    (["fig6", "--x0", "64"], "the logical marked item (--x0) must lie in 0..63, got 64"),
+    (["fig6", "--m", "4", "--x0", "-3"], "the logical marked item (--x0) must lie in 0..3, got -3"),
+], ids=["fig4-8", "fig4-negative", "fig4-m5", "fig6-64", "fig6-m4-negative"])
+def test_marked_item_out_of_range_exits_2_naming_the_flag(tmp_path, capsys, args, message):
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", ["fig4", "fig6"])
+def test_detuned_csvs_do_not_depend_on_the_marked_item(tmp_path, scenario):
+    csvs, configs = [], []
+    for x0 in ("0", "5"):
+        out = tmp_path / f"{x0}.csv"
+        assert run_cli([scenario, "--x0", x0, "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+        configs.append(json.loads(out.with_suffix(".summary.json").read_text())["config"])
+    assert csvs[0] == csvs[1]
+    assert configs[0] != configs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["fig4", "--t-max", "1e308", "--grid-points", "5"],
+    ["fig4", "--t-max", "1e15"],
+    ["fig6", "--t-max", "1e300", "--grid-points", "5"],
+], ids=["fig4-1e308", "fig4-1e15", "fig6-1e300"])
+def test_window_beyond_phase_precision_exits_2(tmp_path, capsys, args):
+    # the phases' rounding error eps rho t_max would leave P(t) no digit
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--t-max" in err and "no significant digit" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("scenario", ["fig4", "fig6"])
+def test_tested_windows_keep_their_phase_precision(tmp_path, scenario):
+    assert run_cli([scenario, "--t-max", "1e4", "--grid-points", "5",
+                    "--out", str(tmp_path / "x.csv")]) == 0

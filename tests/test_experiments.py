@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groverdfs import experiments as xp
-from groverdfs import dfs, hamiltonian
+from groverdfs import dfs, gates, hamiltonian
 from groverdfs.hamiltonian import DetuningProfile, evolve_with_errors
 from groverdfs.grover import GroverInstance
 
@@ -419,3 +419,74 @@ def test_one_column_result(tmp_path):
     counts.write_csv(tmp_path / "n.csv")
     assert (tmp_path / "n.csv").read_text(encoding="utf-8") == \
         "n\n0\n-1\n4611686018427387905\n"
+
+
+def test_no_series_path_calls_the_gate_layer(monkeypatch):
+    # the series read the target state only as the constant 2^(-n/2) on the
+    # search's support, so no series path builds H|x0>
+    calls = []
+    target_state, walsh_hadamard = GroverInstance.target_state, gates.walsh_hadamard
+    monkeypatch.setattr(GroverInstance, "target_state",
+                        lambda inst: calls.append("target_state") or target_state(inst))
+    monkeypatch.setattr(gates, "walsh_hadamard",
+                        lambda amps: calls.append("walsh_hadamard") or walsh_hadamard(amps))
+    profile = DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
+    ts = xp.search_window(6, points=50)
+    evolve_with_errors(GroverInstance(8, 37), profile, ts)
+    xp.unencoded_detuned_evolution(8, profile, 37, ts)
+    xp.encoded_grover_evolution(8, profile, 11, ts)
+    for with_encoding in (False, True):
+        xp.monte_carlo_sweep(8, 2, 0.5, [0.0, 0.5], 3, with_encoding, grid_points=50)
+    xp.scenario_fig4(x0=5)
+    xp.scenario_fig6(x0=9)
+    xp.scenario_fig7(m=4, trials=2, sigma_grid=[0.0, 0.5])
+    assert calls == []
+    # the spies see the dense reference's calls
+    hamiltonian.grover_hamiltonian(GroverInstance(3, 5))
+    assert calls == ["target_state", "walsh_hadamard"]
+
+
+def test_encoded_path_holds_no_array_of_the_physical_dimension(monkeypatch):
+    # at m = 12 the encoded series runs on the 2^l = 512 code words, never on
+    # all 4096 basis states
+    sizes = []
+    series = xp.coupled_success_series
+
+    def spy(coupling, v, anchor, diag, times, **kwargs):
+        sizes.extend((np.size(v), np.size(diag), kwargs["qubits"]))
+        return series(coupling, v, anchor, diag, times, **kwargs)
+
+    monkeypatch.setattr(xp, "coupled_success_series", spy)
+    profile = DetuningProfile(tuple(np.random.default_rng(12).normal(size=12)))
+    xp.encoded_grover_evolution(12, profile, 100, xp.search_window(9, points=50))
+    xp.monte_carlo_sweep(12, 2, 0.5, [0.5], 1, with_encoding=True, grid_points=50)
+    # v is the one amplitude 2^(-9/2) of every code word
+    assert sizes == [1, 512, 12] * 3
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_unencoded_fig7_window_reaches_its_own_peak(m):
+    # the logical window [0, 2 peak(l)] ends before the unencoded peak for
+    # m >= 10 (0.8267 at m = 10 and 0.8150 at m = 12 on it)
+    result = xp.scenario_fig7(m, trials=1, omega_mean=0.0, sigma_grid=[0.0])
+    l = dfs.balanced_code(m).logical_qubits
+    assert result.config["t_max"] == 2.0 * xp.ideal_peak_time(l)
+    assert result.config["t_max_unencoded"] == xp.ideal_peak_time(m)
+    assert result.column("unencoded_mean_max_p")[0] >= 0.99
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_fig7_windows_agree_up_to_eight_qubits(m):
+    config = xp.scenario_fig7(m, trials=1, sigma_grid=[0.0]).config
+    assert config["t_max_unencoded"] == config["t_max"]
+
+
+def test_encoded_refusal_names_the_physical_qubits(monkeypatch):
+    # the encoded series runs on the 64 code words of m = 8 but names m; the
+    # 5-point grid and the one maximum fit in 512 bytes, the series does not
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**9)
+    with pytest.raises(ValueError, match="the detuned series on 8 qubits needs"):
+        xp.encoded_grover_evolution(8, DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q),
+                                    t_grid=np.linspace(0.0, 12.0, 5))
+    with pytest.raises(ValueError, match="the detuned series on 8 qubits needs"):
+        xp.monte_carlo_sweep(8, 1, 0.5, [0.5], 1, with_encoding=True, grid_points=5)

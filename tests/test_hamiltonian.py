@@ -499,6 +499,13 @@ def test_window_beyond_any_node_count_takes_the_eigenvalue_path(monkeypatch):
     assert p[0] == v[anchor] ** 2 and 0.0 <= p[1] <= 1.0
 
 
+def support_series(m, x0, encoded, profile, ts):
+    """The search series on its support, as monte_carlo_sweep runs it."""
+    coupling, support, anchor = xp._search_problem(m, x0, encoded)
+    d = ham.signed_detunings(profile, ham.sign_columns(m, support))
+    return ham.coupled_success_series(coupling, coupling / 2.0, anchor, d, ts, qubits=m)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1e-12, 0.1, 1.0, 3.0])
 @pytest.mark.parametrize("m,encoded", [(m, False) for m in range(2, 11)]
                          + [(m, True) for m in range(2, 11, 2)])
@@ -508,15 +515,12 @@ def test_contour_matches_eigenvalue_path(monkeypatch, m, encoded, sigma):
     for seed in range(2):
         rng = np.random.default_rng([seed, m, int(encoded)])
         x0 = int(rng.integers(2**l))
-        coupling, v, anchor = xp._search_problem(m, x0, encoded)
         profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
-        d = ham.detuning_diagonal(profile, m)
         series = []
         for ratio, path in ((math.inf, "contour"), (0, "eigenvalues")):
             monkeypatch.setattr(ham, "_NODES_PER_LEVEL", ratio)
             paths = solved_dimensions(
-                monkeypatch, lambda: series.append(
-                    ham.coupled_success_series(coupling, v, anchor, d, ts)))
+                monkeypatch, lambda: series.append(support_series(m, x0, encoded, profile, ts)))
             assert [p for p, _ in paths] == [path]
         assert np.max(np.abs(series[0] - series[1])) <= 1e-12
 
@@ -616,3 +620,56 @@ def test_detuned_series_is_even_in_the_detunings(m, seed):
         encoded = [xp.encoded_grover_evolution(m, p, t_grid=ts).column("probability")
                    for p in (plus, minus)]
         assert np.max(np.abs(encoded[0] - encoded[1])) <= 1e-14
+
+
+def full_length_series(m, profile, x0, encoded, ts):
+    """The search series on all 2^m basis states, the reference for the
+    support form: v = H|x0> from the Walsh-Hadamard butterfly, scattered onto
+    the code indices when encoded, and the detunings of every basis state
+    summed bit by bit."""
+    idx, d = np.arange(2**m), np.zeros(2**m)
+    for i, omega in enumerate(profile.absolute(), start=1):
+        d += omega * (1 - 2 * ((idx >> (m - i)) & 1))
+    if not encoded:
+        inst = GroverInstance(m, x0)
+        return ham.coupled_success_series(2.0 * inst.epsilon, inst.target_state().amplitudes.real,
+                                          0, d, ts)
+    code = dfs.balanced_code(m)
+    logical = GroverInstance(code.logical_qubits, x0)
+    v = np.zeros(2**m)
+    v[np.array(code.code_indices)] = logical.target_state().amplitudes.real
+    return ham.coupled_success_series(2.0 * logical.epsilon, v, code.basis_states[0], d, ts)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-12, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("m,encoded", [(m, False) for m in range(2, 11)]
+                         + [(m, True) for m in range(2, 13, 2)])
+def test_support_series_is_bit_identical_to_the_full_length_arrowhead(m, encoded, sigma):
+    l = dfs.balanced_code(m).logical_qubits if encoded else m
+    ts = xp.search_window(l)
+    for seed in range(2):
+        rng = np.random.default_rng([seed, m, int(encoded)])
+        x0 = int(rng.integers(2**l))
+        profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
+        expected = full_length_series(m, profile, x0, encoded, ts)
+        support = support_series(m, x0, encoded, profile, ts)
+        if encoded:
+            public = xp.encoded_grover_evolution(m, profile, x0, ts).column("probability")
+        else:
+            public = ham.evolve_with_errors(GroverInstance(m, x0), profile, ts)[:, 1]
+        assert np.array_equal(support, expected) and np.array_equal(public, expected)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 12])
+def test_detuning_diagonal_reads_the_sign_columns(m):
+    omegas = np.random.default_rng(m).normal(size=m)
+    profile = ham.DetuningProfile(tuple(omegas))
+    signs = ham.sign_columns(m, np.arange(2**m))
+    assert signs.dtype == np.int8 and signs.shape == (m, 2**m)
+    assert np.array_equal(signs[0], np.where(np.arange(2**m) < 2**(m - 1), 1, -1))
+    subset = np.random.default_rng(m).choice(2**m, size=(2**m + 2) // 3, replace=False)
+    diag = ham.detuning_diagonal(profile, m)
+    assert np.array_equal(ham.signed_detunings(profile, ham.sign_columns(m, subset)),
+                          diag[subset])
+    with pytest.raises(ValueError, match=f"profile has {m} detunings, expected {m + 1}"):
+        ham.signed_detunings(profile, ham.sign_columns(m + 1, subset))
