@@ -98,14 +98,12 @@ def sign_columns(m: int, indices: np.ndarray) -> np.ndarray:
 
 def signed_detunings(profile: DetuningProfile, signs: np.ndarray) -> np.ndarray:
     """sum_i omega_i s_i(x) for each column x of a sign table, summed from zeros
-    a qubit at a time.  Each omega_i s_i is exact, so an entry rounds alike on
-    any support; a sign-table matrix product would round differently."""
+    a qubit at a time: one reduction over the rows, which adds them in order.
+    Each omega_i s_i is exact, so an entry rounds alike on any support; a
+    sign-table matrix product would round differently."""
     if profile.num_qubits != len(signs):
         raise ValueError(f"profile has {profile.num_qubits} detunings, expected {len(signs)}")
-    diag = np.zeros(signs.shape[1])
-    for omega, s in zip(profile.absolute(), signs):
-        diag += omega * s
-    return diag
+    return np.add.reduce(profile.absolute()[:, None] * signs, axis=0)
 
 
 def detuning_diagonal(profile: DetuningProfile, m: int) -> np.ndarray:
@@ -120,10 +118,12 @@ def detuning_hamiltonian(profile: DetuningProfile, m: int) -> DenseOperator:
 
 
 # The contour runs while N < 2K.  Eigenvalue path against contour, in ms on
-# one BLAS thread: K = 7, N = 158 (fig4) 0.17 against 0.40; K = 64, N = 89
-# and K = 256, N = 151 (fig6) 0.55 against 0.32 and 4.5 against 0.76; K = 7,
-# N = 1.9e5 (fig4 to t = 1e4) 0.12 against 434.  At K = 64 the two cost the
-# same near N = 2K; at K = 256 the contour stays cheaper up to N = 5K.
+# one BLAS thread, with the contour on its mirrored half: K = 7, N = 158
+# (fig4) 0.11 against 0.25; K = 64, N = 89 and K = 256, N = 151 (fig6) 0.33
+# against 0.19 and 4.3 against 0.50; K = 7, N = 1.9e5 (fig4 to t = 1e4) 0.13
+# against 170.  At K = 64 the two now cost the same near N = 4K (2K before
+# the mirror); at K = 256 the contour stays cheaper beyond N = 5K.  The
+# ratio stays 2: no default scenario's problem lies between 2K and 4K nodes.
 _NODES_PER_LEVEL = 2
 
 # Fewest contour nodes.  When the spectrum is narrow against b, rho is large
@@ -161,9 +161,13 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     its semi-minor axis b = 2 / t_max (the focal half-width when t_max = 0)
     keeps exp(-i z t) below e^2.  The rule converges like rho^-N in the
     ellipse parameter rho, so N = ceil(ln 1e15 / ln rho) + 8, at least
-    _MIN_NODES.  Where N >= 2K the eigenvalue path runs instead: the
-    arrowhead's eigenvalues (couplings z_J = -coupling * w_J), polished by
-    one Newton step on its secular equation
+    _MIN_NODES.  The midpoints theta_j and 2 pi - theta_j give conjugate
+    nodes, and S(conj z) = conj S(z) since the poles and weights are real,
+    so S is summed on the ceil(N/2) nodes of the upper half and mirrored
+    (for odd N the middle node, at theta = pi, is real).  Where N >= 2K the
+    eigenvalue path runs instead: the arrowhead's eigenvalues (couplings
+    z_J = -coupling * w_J), polished by one Newton step on its secular
+    equation
 
         f(lam) = lam - d_a - sum_J z_J^2 / (lam - p_J) = 0,
 
@@ -176,9 +180,11 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     A uniform grid t_j = j dt (every grid `time_grid` makes) factors as
     t_{aB+b} = t_{aB} + t_b with B = ceil(sqrt(T)), so the amplitudes are
     one complex product of two phase tables of about sqrt(T) x nodes each:
-    (exp(-i t_{aB} node) * weight) @ exp(-i node t_b), read row by row.  Any
-    other grid runs the same product with the whole grid as rows and the
-    single column t = 0.  At t = 0 nothing has left the anchor: P = v_a^2
+    (exp(-i t_{aB} node) * weight) @ exp(-i node t_b), read row by row.  On
+    the contour's mirrored half each phase is the upper half's times a real
+    exponential, exp(-i conj(z) t) = exp(-i z t) exp(-2 Im(z) t).  Any other
+    grid runs the same product with the whole grid as rows and the single
+    column t = 0.  At t = 0 nothing has left the anchor: P = v_a^2
     exactly.  Raises ValueError if the tables of the path that runs would
     not fit in physical memory.
     """
@@ -211,20 +217,26 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     count = math.log(1e15) / log_rho if log_rho else math.inf
     nodes = max(math.ceil(count) + 8, _MIN_NODES) if math.isfinite(count) else math.inf
     contour = nodes < _NODES_PER_LEVEL * k
-    # the contour's complex N x (K-1) table of reciprocal node-pole distances,
-    # or the arrowhead, LAPACK's copy and the K x (K-1) secular tables; then
-    # the two complex phase tables and their product, the series and its temporaries
+    mirrored = nodes // 2 if contour else 0
+    # the contour's complex ceil(N/2) x (K-1) table of reciprocal node-pole
+    # distances, or the arrowhead, LAPACK's copy and the K x (K-1) secular
+    # tables; then the two complex phase tables, the real damping tables of
+    # their mirrored halves and their product, the series and its temporaries
     width = nodes if contour else k
-    table = 2 * nodes * poles.size if contour else 2 * k * k + 2 * k * poles.size
-    _refuse_beyond_memory(8 * (table + 2 * width * (coarse.size + fine.size)
+    table = 2 * (nodes - mirrored) * poles.size if contour else 2 * k * k + 2 * k * poles.size
+    _refuse_beyond_memory(8 * (table + (2 * width + mirrored) * (coarse.size + fine.size)
                                + 2 * coarse.size * fine.size + 3 * n),
                           f"the detuned series on {qubits or d.size.bit_length() - 1} qubits",
                           f" ({k}-level arrowhead, {n} time points)")
     if contour:
         u = log_rho + 2j * np.pi * (np.arange(nodes) + 0.5) / nodes
-        lam = (lo + hi) / 2 + half * np.cosh(u)
+        lam, dz = (lo + hi) / 2 + half * np.cosh(u), np.sinh(u)
+        for a in (lam, dz):
+            # theta_{N-1-j} = 2 pi - theta_j; for odd N the middle node is at theta = pi
+            a[nodes - mirrored:] = a[:mirrored][::-1].conj()
+            a[mirrored:nodes - mirrored].imag = 0.0
         coef = (_anchor_resolvent(lam, coupling, v[anchor], d_a, poles, weights)
-                * (half / nodes) * np.sinh(u))
+                * (half / nodes) * dz)
     else:
         z = -coupling * weights
         h = np.diag(np.concatenate(([d_a], poles)))
@@ -238,11 +250,9 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
             rho = 1.0 / _secular(lam, d_a, poles, z2)[1]
         rho /= rho.sum()
         coef = rho * (v[anchor] + 1j * (lam - d_a) / coupling)
-    rows = np.multiply.outer(coarse, -1j * lam)
-    cols = np.multiply.outer(-1j * lam, fine)
-    np.exp(rows, out=rows)
+    rows = _phase_table(coarse, lam, mirrored)
     rows *= coef
-    amp = (rows @ np.exp(cols, out=cols)).ravel()[:n]
+    amp = (rows @ _phase_table(fine, lam, mirrored).T).ravel()[:n]
     p = amp.real ** 2 + amp.imag ** 2
     p[ts == 0] = v[anchor] ** 2
     return p
@@ -251,10 +261,26 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
 def _anchor_resolvent(z: np.ndarray, coupling: float, v_a: float, d_a: float,
                       poles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """G(z) = (v_a + i coupling S(z)) / (z - d_a - coupling^2 S(z)) at each z away
-    from the spectrum, with S(z) = sum_J w_J^2 / (z - p_J)."""
-    r = np.subtract.outer(z, poles)
+    from the spectrum, with S(z) = sum_J w_J^2 / (z - p_J).  The nodes come in
+    conjugate pairs, z[-1 - j] = conj z[j], and the poles and weights are real,
+    so S(conj z) = conj S(z) is summed on the first ceil(len(z) / 2) nodes only."""
+    upper, lower = (z.size + 1) // 2, z.size // 2
+    r = np.subtract.outer(z[:upper], poles)
     s = np.reciprocal(r, out=r) @ (weights * weights)
+    s = np.concatenate((s, s[:lower][::-1].conj()))
     return (v_a + 1j * coupling * s) / (z - d_a - coupling * coupling * s)
+
+
+def _phase_table(ts: np.ndarray, lam: np.ndarray, mirrored: int) -> np.ndarray:
+    """exp(-i t lam) with a row per t and a column per node, where the last
+    `mirrored` nodes are the conjugates of the first ones in reverse order:
+    exp(-i conj(z) t) = exp(-i z t) exp(-2 Im(z) t) needs only a real exponential."""
+    table = np.empty((ts.size, lam.size), dtype=complex)
+    upper = lam.size - mirrored
+    np.exp(np.multiply.outer(ts, -1j * lam[:upper]), out=table[:, :upper])
+    damping = np.exp(np.multiply.outer(ts, 2.0 * lam[upper:].imag))
+    np.multiply(table[:, :mirrored][:, ::-1], damping, out=table[:, upper:])
+    return table
 
 
 def _secular(lam: np.ndarray, d_a: float, poles: np.ndarray, z2: np.ndarray):

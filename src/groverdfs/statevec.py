@@ -163,11 +163,15 @@ def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
     """States exp(-i H t) psi0 for every t in `times`, as a (T, dim) array.
 
     H must be hermitian (units of hbar/tau).  Only the block of H that psi0
-    reaches is diagonalized: starting from the support of psi0, the
-    reachable set grows through the nonzero entries of H until it stops
-    changing, and every amplitude outside it stays exactly 0 for all t.
-    The block's eigendecomposition is computed once and reused across the
-    whole grid, which is exact at the matrix sizes used here.
+    reaches is diagonalized: starting from the support of psi0 (layer 0),
+    the reachable set grows through the nonzero entries of H a layer at a
+    time until it stops changing, and every amplitude outside it stays
+    exactly 0 for all t.  The diagonal gauge i^layer makes a block real when
+    its couplings are real within layers and imaginary between them, as in
+    every search generator H_G + H_d; such a block is solved and propagated
+    in real arithmetic, any other one as it is.  The block's
+    eigendecomposition is computed once and reused across the whole grid,
+    which is exact at the matrix sizes used here.
     """
     dev = np.max(np.abs(H.matrix - H.matrix.conj().T))
     if dev > HERMITIAN_TOL:
@@ -177,15 +181,24 @@ def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
     ts = np.asarray(times, dtype=float)
     # both triangles: eigh reads one, and H is hermitian only to HERMITIAN_TOL
     coupled = (H.matrix != 0) | (H.matrix.T != 0)
-    reach = psi0.amplitudes != 0
-    while True:
-        grown = reach | coupled[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    block = np.flatnonzero(reach)
-    w, u = np.linalg.eigh(H.matrix[np.ix_(block, block)])
-    U = np.zeros((H.dim, len(block)), dtype=np.complex128)
-    U[block] = u
-    c = u.conj().T @ psi0.amplitudes[block]
-    return (np.exp(-1j * np.outer(ts, w)) * c) @ U.T
+    layer = np.where(psi0.amplitudes != 0, 0, -1)
+    while (grown := (layer < 0) & coupled[:, layer >= 0].any(axis=1)).any():
+        layer[grown] = layer.max() + 1
+    block = np.flatnonzero(layer >= 0)
+    h, psi = H.matrix[np.ix_(block, block)], psi0.amplitudes[block]
+    gauge = np.array([1, 1j, -1, -1j])[layer[block] % 4]
+    gauged = gauge.conj()[:, None] * h * gauge
+    if np.any(gauged.imag):
+        w, u = np.linalg.eigh(h)
+        local = (np.exp(-1j * np.outer(ts, w)) * (u.conj().T @ psi)) @ u.T
+    else:
+        w, u = np.linalg.eigh(gauged.real)
+        phases = np.exp(-1j * np.outer(ts, w)) * (u.T @ (gauge.conj() * psi))
+        local = np.empty(phases.shape, dtype=np.complex128)
+        local.real, local.imag = phases.real @ u.T, phases.imag @ u.T
+        local *= gauge
+    if block.size == H.dim:
+        return local
+    states = np.zeros((ts.size, H.dim), dtype=np.complex128)
+    states[:, block] = local
+    return states

@@ -168,9 +168,9 @@ def test_every_scenario_accepts_its_own_flags(tmp_path, args):
 
 
 def test_oversized_problem_exits_2(tmp_path, capsys, monkeypatch):
-    # a memory probe reading 512 KB makes the default 8-qubit fig6 too large:
-    # its unencoded series needs about 0.7 MB
-    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**19)
+    # a memory probe reading 256 KB makes the default 8-qubit fig6 too large:
+    # its unencoded series needs about 0.45 MB
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**18)
     assert run_cli(["fig6", "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "on 8 qubits needs" in err and "physical memory" in err

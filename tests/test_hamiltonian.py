@@ -525,6 +525,50 @@ def test_contour_matches_eigenvalue_path(monkeypatch, m, encoded, sigma):
         assert np.max(np.abs(series[0] - series[1])) <= 1e-12
 
 
+# m = 8 windows whose contours have an odd or an even node count N for the
+# detuning profile of the test below: (encoded, t_max) -> N
+PARITY_WINDOWS = {(False, 5.0): 41, (False, 6.0): 46, (True, 5.0): 50, (True, 6.0): 57}
+
+
+@pytest.mark.parametrize("encoded,t_max", sorted(PARITY_WINDOWS))
+def test_contour_nodes_come_in_exact_conjugate_pairs(monkeypatch, encoded, t_max):
+    profile = ham.DetuningProfile(tuple(0.5 + 0.5 * np.random.default_rng(8).standard_normal(8)))
+    ts = ham.time_grid(t_max, 120)
+    nodes, resolvent = [], ham._anchor_resolvent
+
+    def spy(z, *args):
+        nodes.append(z.copy())
+        return resolvent(z, *args)
+
+    monkeypatch.setattr(ham, "_anchor_resolvent", spy)
+    contour = support_series(8, 0, encoded, profile, ts)
+    monkeypatch.setattr(ham, "_NODES_PER_LEVEL", 0)
+    eigenvalues = support_series(8, 0, encoded, profile, ts)
+    monkeypatch.undo()
+    (z,) = nodes
+    assert z.size == PARITY_WINDOWS[encoded, t_max]
+    # node N - 1 - j is the conjugate of node j, bit for bit; an odd N's middle node is real
+    assert np.array_equal(z[::-1], z.conj()) and np.all(z.imag[:z.size // 2] > 0)
+    assert np.max(np.abs(contour - eigenvalues)) <= 1e-12
+    assert np.max(np.abs(contour - reference_search(8, profile, 0, encoded, ts))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_signed_detunings_match_a_qubit_by_qubit_loop_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    signs = ham.sign_columns(m, np.arange(2**m))
+    profiles = [ham.DetuningProfile((-0.0,) * m), ham.DetuningProfile((0.0,) * m)]
+    for _ in range(20):
+        omegas = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3, 3, m)
+        omegas[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
+        profiles.append(ham.DetuningProfile(tuple(omegas)))
+    for profile in profiles:
+        loop = np.zeros(2**m)
+        for omega, s in zip(profile.absolute(), signs):
+            loop += omega * s
+        assert ham.signed_detunings(profile, signs).tobytes() == loop.tobytes()
+
+
 # The tables of each path for the 256-level benchmark problem on 400 points:
 # the 20 x width and width x 20 complex phase tables, their 20 x 20 complex
 # product and three 400-point arrays for the series, plus
@@ -533,8 +577,11 @@ OVERSIZED_SERIES = {
     # it, the 256 x 255 reciprocal table and its square
     "eigenvalues": (48.0, 8 * (2 * 256 * 256 + 2 * 256 * 255 + 2 * 256 * (20 + 20)
                                + 2 * 20 * 20 + 3 * 400)),
-    # on fig6's 4 pi window: the complex 151 x 255 reciprocal table of its 151 nodes
-    "contour": (4 * math.pi, 8 * (2 * 151 * 255 + 2 * 151 * (20 + 20) + 2 * 20 * 20 + 3 * 400)),
+    # on fig6's 4 pi window (N = 151): the complex 76 x 255 reciprocal table
+    # of the nodes that are not mirrored, and the real 20 x 75 and 75 x 20
+    # damping tables of the 75 that are
+    "contour": (4 * math.pi, 8 * (2 * 76 * 255 + (2 * 151 + 75) * (20 + 20)
+                                  + 2 * 20 * 20 + 3 * 400)),
 }
 
 

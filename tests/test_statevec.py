@@ -301,3 +301,76 @@ def test_evolve_grid_on_fig7_generators(m, encoded):
                             sv.StateVector(m, psi))
     assert np.all(states[:, ~reached] == 0)
     assert np.max(np.abs(states - _full_eigh_evolution(h, times, psi))) <= 1e-13
+
+
+def _eigh_dtypes(monkeypatch):
+    """The dtype of every matrix handed to np.linalg.eigh from now on."""
+    dtypes, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        dtypes.append(a.dtype)
+        return eigh(a)
+
+    monkeypatch.setattr(sv.np.linalg, "eigh", spy)
+    return dtypes
+
+
+@pytest.mark.parametrize("m", [4, 8])
+@pytest.mark.parametrize("encoded", [True, False], ids=["encoded", "unencoded"])
+def test_fig7_generators_take_the_real_path(monkeypatch, m, encoded):
+    # H_G couples the start state to every other reached state by imaginary
+    # entries: the gauge i^layer makes the block real.  evolve_grid's eigh
+    # runs first, then the reference's on the whole complex H
+    dtypes = _eigh_dtypes(monkeypatch)
+    test_evolve_grid_on_fig7_generators(m, encoded)
+    assert dtypes == [np.float64, np.complex128]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_imaginary_coupling_chains_take_the_real_path(monkeypatch, seed):
+    # real detunings along chains in a permuted basis, imaginary links; psi0
+    # on one state in each of two chains, so every link joins adjacent layers
+    rng = np.random.default_rng(seed)
+    m, dim = 5, 32
+    chains = np.split(rng.permutation(dim), np.sort(rng.choice(np.arange(1, dim), 3, replace=False)))
+    h = np.zeros((dim, dim), dtype=complex)
+    for chain in chains:
+        h[chain, chain] = rng.normal(size=len(chain))
+        links = 1j * rng.normal(size=len(chain) - 1)
+        h[chain[:-1], chain[1:]] = links
+        h[chain[1:], chain[:-1]] = links.conj()
+    psi = np.zeros(dim, dtype=complex)
+    psi[[rng.choice(chain) for chain in chains[:2]]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    psi /= np.linalg.norm(psi)
+    reached = np.isin(np.arange(dim), np.concatenate(chains[:2]))
+    times = np.linspace(0.0, 5.0, 9)
+    reference = _full_eigh_evolution(h, times, psi)
+    dtypes = _eigh_dtypes(monkeypatch)
+    states = sv.evolve_grid(sv.DenseOperator(h, frozenset({"hermitian"})), times,
+                            sv.StateVector(m, psi))
+    assert dtypes == [np.float64]
+    assert np.all(states[:, ~reached] == 0)
+    assert np.max(np.abs(states - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("couplings", ["complex", "imaginary"])
+def test_block_with_a_cycle_takes_the_complex_path(monkeypatch, couplings):
+    # a triangle 0-1-2 puts 1 and 2 in the same layer, so the gauge leaves
+    # their coupling complex or imaginary; state 3 is never reached
+    rng = np.random.default_rng(0)
+    links = rng.normal(size=3) * (1j if couplings == "imaginary" else 1.0)
+    if couplings == "complex":
+        links = links + 1j * rng.normal(size=3)
+    h = np.zeros((4, 4), dtype=complex)
+    h[[0, 1, 2], [0, 1, 2]] = rng.normal(size=3)
+    h[[0, 1, 2], [1, 2, 0]] = links
+    h[[1, 2, 0], [0, 1, 2]] = links.conj()
+    h[3, 3] = 1.0
+    times = np.linspace(0.0, 5.0, 9)
+    psi = sv.basis_state(2, 0)
+    reference = _full_eigh_evolution(h, times, psi.amplitudes)
+    dtypes = _eigh_dtypes(monkeypatch)
+    states = sv.evolve_grid(sv.DenseOperator(h, frozenset({"hermitian"})), times, psi)
+    assert dtypes == [np.complex128]
+    assert np.all(states[:, 3] == 0)
+    assert np.max(np.abs(states - reference)) <= 1e-13
