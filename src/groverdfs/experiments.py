@@ -201,10 +201,10 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
         raise ValueError(f"detunings must be finite numbers, got a mean (--omega-mean) "
                          f"of {omega_mean}")
     sigma_grid = [float(s) for s in sigma_grid]
-    if any(s < 0 for s in sigma_grid):
-        raise ValueError("sigma grid must be non-negative")
-    _refuse_beyond_memory(8 * len(sigma_grid) * trials,
-                          f"{trials} trials (--trials) at {len(sigma_grid)} spreads")
+    if bad := [s for s in sigma_grid if not (math.isfinite(s) and s >= 0)]:
+        raise ValueError(f"the spreads (--sigma-grid) must be finite and >= 0, got {bad[0]}")
+    _refuse_beyond_memory(8 * len(sigma_grid) * trials, "{0} trials (--trials) at {1} spreads",
+                          trials, len(sigma_grid))
     l = dfs.balanced_code(m_phys).logical_qubits
     t_max = 2.0 * ideal_peak_time(l)
     if not with_encoding:
@@ -428,7 +428,7 @@ def parse_sigma_grid(spec: str) -> list:
     # capped so that a step too small for any memory cannot overflow the count
     count = int(min((b - a) / step, 2.0**62) + 0.5) + 1
     # a list of 8-byte pointers to 24-byte floats
-    _refuse_beyond_memory(32 * count, f"a sigma grid of {count} spreads (--sigma-grid {spec})")
+    _refuse_beyond_memory(32 * count, "a sigma grid of {0} spreads (--sigma-grid {1})", count, spec)
     return [a + k * step for k in range(count)]
 
 

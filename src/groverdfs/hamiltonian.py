@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grover import GroverInstance, step_iterates
-from .statevec import DenseOperator
+from .statevec import DenseOperator, grid_factors
 
 DEFAULT_GRID_POINTS = 400
 
@@ -146,9 +146,10 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     anchor, H is a real symmetric arrowhead: diag(d) plus the row and column
     -coupling * v at the anchor.  It is deflated exactly before it is built:
     basis states other than the anchor with v_j = 0 are decoupled and
-    dropped, and those sharing a detuning d_j merge into one pole p_J
-    coupled with weight w_J = sqrt(sum v_j^2), because within such a group
-    only the direction of v couples to the anchor.  K levels remain.
+    dropped, and those sharing a detuning d_j merge into one pole p_J coupled
+    with weight w_J = sqrt(sum v_j^2), because within such a group only the
+    direction of v couples to the anchor.  K levels remain.  Sorting d (stably
+    for a per-state v) lets bincount sum each group's v_j^2 in index order.
 
     The amplitude is sum_j weight_j exp(-i node_j t) for one of two
     (nodes, weights) pairs.  By the Schur complement of the anchor it is
@@ -177,36 +178,33 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     sum to 1 as the anchor components of orthonormal eigenvectors square
     to.  An eigenvalue that lands exactly on a pole gets rho = 0.
 
-    A uniform grid t_j = j dt (every grid `time_grid` makes) factors as
-    t_{aB+b} = t_{aB} + t_b with B = ceil(sqrt(T)), so the amplitudes are
-    one complex product of two phase tables of about sqrt(T) x nodes each:
+    The amplitudes are one complex product of two phase tables, with rows
+    and columns at the coarse and fine times of `statevec.grid_factors`
+    (about sqrt(T) each on a uniform grid, split once per grid):
     (exp(-i t_{aB} node) * weight) @ exp(-i node t_b), read row by row.  On
     the contour's mirrored half each phase is the upper half's times a real
-    exponential, exp(-i conj(z) t) = exp(-i z t) exp(-2 Im(z) t).  Any other
-    grid runs the same product with the whole grid as rows and the single
-    column t = 0.  At t = 0 nothing has left the anchor: P = v_a^2
-    exactly.  Raises ValueError if the tables of the path that runs would
-    not fit in physical memory.
+    exponential, exp(-i conj(z) t) = exp(-i z t) exp(-2 Im(z) t).  At t = 0
+    nothing has left the anchor: P = v_a^2 exactly.  Raises ValueError if
+    the tables of the path that runs would not fit in physical memory.
     """
     d = np.asarray(diag, dtype=float)
-    v = np.full(d.shape, float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
     ts = np.asarray(times, dtype=float)
-    rest = np.flatnonzero(v)
-    rest = rest[rest != anchor]
-    poles, group = np.unique(d[rest], return_inverse=True)
-    weights = np.sqrt(np.bincount(group, weights=v[rest] ** 2, minlength=poles.size))
+    if isinstance(v, float) or np.ndim(v) == 0:
+        v_a = np.float64(v)
+        s = np.sort(np.concatenate((d[:anchor], d[anchor + 1:]))) if v_a else d[:0]
+        w2 = np.full(s.size, v_a * v_a)
+    else:
+        v = np.asarray(v, dtype=float)
+        rest = np.setdiff1d(np.flatnonzero(v), anchor)
+        rest, v_a = rest[np.argsort(d[rest], kind="stable")], v[anchor]
+        s, w2 = d[rest], v[rest] ** 2
+    first = np.concatenate(([True], s[1:] != s[:-1]))[:s.size]
+    poles, weights = s[first], np.sqrt(w2 if first.all() else np.bincount(first.cumsum() - 1, w2))
     k = poles.size + 1
     n = ts.size
     if coupling == 0 or not poles.size:
-        return np.full(n, v[anchor] ** 2)
-    # np.linspace sets its last point to the end of the window, up to an ulp
-    # off (n - 1) dt; every other point is j dt exactly
-    if n > 1 and np.all(np.abs(ts - np.arange(n) * ts[1])
-                        <= 4 * np.finfo(float).eps * abs(ts[-1])):
-        step = math.isqrt(n - 1) + 1
-        coarse, fine = ts[::step], ts[:step]
-    else:
-        coarse, fine = ts, np.zeros(1)
+        return np.full(n, v_a ** 2)
+    coarse, fine = grid_factors(ts.tobytes())
     d_a = d[anchor]
     lo = min(poles[0], d_a) - 1.02 * abs(coupling)
     hi = max(poles[-1], d_a) + 1.02 * abs(coupling)
@@ -226,16 +224,15 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     table = 2 * (nodes - mirrored) * poles.size if contour else 2 * k * k + 2 * k * poles.size
     _refuse_beyond_memory(8 * (table + (2 * width + mirrored) * (coarse.size + fine.size)
                                + 2 * coarse.size * fine.size + 3 * n),
-                          f"the detuned series on {qubits or d.size.bit_length() - 1} qubits",
-                          f" ({k}-level arrowhead, {n} time points)")
+                          "the detuned series on {0} qubits", qubits or d.size.bit_length() - 1,
+                          k, n, detail=" ({1}-level arrowhead, {2} time points)")
     if contour:
-        u = log_rho + 2j * np.pi * (np.arange(nodes) + 0.5) / nodes
+        u = log_rho + 2j * np.pi * (np.arange(nodes - mirrored) + 0.5) / nodes
         lam, dz = (lo + hi) / 2 + half * np.cosh(u), np.sinh(u)
-        for a in (lam, dz):
-            # theta_{N-1-j} = 2 pi - theta_j; for odd N the middle node is at theta = pi
-            a[nodes - mirrored:] = a[:mirrored][::-1].conj()
-            a[mirrored:nodes - mirrored].imag = 0.0
-        coef = (_anchor_resolvent(lam, coupling, v[anchor], d_a, poles, weights)
+        # an odd N's last upper node is at theta = pi; theta_{N-1-j} = 2 pi - theta_j
+        lam[mirrored:].imag = dz[mirrored:].imag = 0.0
+        lam, dz = (np.concatenate((a, a[:mirrored][::-1].conj())) for a in (lam, dz))
+        coef = (_anchor_resolvent(lam, coupling, v_a, d_a, poles, weights)
                 * (half / nodes) * dz)
     else:
         z = -coupling * weights
@@ -249,12 +246,12 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
             lam = np.where(np.isfinite(polished), polished, lam)
             rho = 1.0 / _secular(lam, d_a, poles, z2)[1]
         rho /= rho.sum()
-        coef = rho * (v[anchor] + 1j * (lam - d_a) / coupling)
+        coef = rho * (v_a + 1j * (lam - d_a) / coupling)
     rows = _phase_table(coarse, lam, mirrored)
     rows *= coef
     amp = (rows @ _phase_table(fine, lam, mirrored).T).ravel()[:n]
     p = amp.real ** 2 + amp.imag ** 2
-    p[ts == 0] = v[anchor] ** 2
+    p[ts == 0] = v_a ** 2
     return p
 
 
@@ -298,12 +295,13 @@ def physical_memory() -> int | None:
     return size if size > 0 else None
 
 
-def _refuse_beyond_memory(need: int, what: str, detail: str = "") -> None:
-    """Raise ValueError if `what` needs more than the bytes of physical memory."""
+def _refuse_beyond_memory(need: int, what: str, *args, detail: str = "") -> None:
+    """Raise ValueError if `what` needs more than the bytes of physical memory.
+    `what` and `detail` are templates that only a refusal fills from args."""
     available = physical_memory()
     if available is not None and need > available:
-        raise ValueError(f"{what} needs {need} bytes{detail}, more than the {available} "
-                         "bytes of physical memory")
+        raise ValueError(f"{what.format(*args)} needs {need} bytes{detail.format(*args)}, "
+                         f"more than the {available} bytes of physical memory")
 
 
 def time_grid(t_max: float, points: int) -> np.ndarray:
@@ -317,7 +315,7 @@ def time_grid(t_max: float, points: int) -> np.ndarray:
             f"the time window end t_max (--t-max) must be finite and >= 0, got {t_max}")
     if points < 1:
         raise ValueError(f"grid points must be >= 1, got {points}")
-    _refuse_beyond_memory(8 * points, f"a time grid of {points} points (--grid-points)")
+    _refuse_beyond_memory(8 * points, "a time grid of {0} points (--grid-points)", points)
     return np.linspace(0.0, t_max, points)
 
 

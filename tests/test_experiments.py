@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,9 +151,12 @@ def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         xp.monte_carlo_sweep(4, trials=0, omega_mean=0.5, sigma_grid=[0.1],
                              seed=1, with_encoding=True)
-    with pytest.raises(ValueError):
-        xp.monte_carlo_sweep(4, trials=2, omega_mean=0.5, sigma_grid=[-0.1],
-                             seed=1, with_encoding=True)
+    # a NaN spread passes s < 0 and used to fail later, in DetuningProfile
+    for spread in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the spreads (--sigma-grid) must be finite and >= 0, got {spread}")):
+            xp.monte_carlo_sweep(4, trials=2, omega_mean=0.5, sigma_grid=[0.0, spread],
+                                 seed=1, with_encoding=True)
     with pytest.raises(ValueError, match="--seed"):
         xp.monte_carlo_sweep(4, trials=2, omega_mean=0.5, sigma_grid=[0.1],
                              seed=-1, with_encoding=True)

@@ -720,3 +720,100 @@ def test_detuning_diagonal_reads_the_sign_columns(m):
                           diag[subset])
     with pytest.raises(ValueError, match=f"profile has {m} detunings, expected {m + 1}"):
         ham.signed_detunings(profile, ham.sign_columns(m + 1, subset))
+
+
+def solved_arrowhead(monkeypatch, v, anchor, d, ts):
+    """(poles, weights) of the deflated arrowhead coupled_success_series
+    solves at coupling -1, read from the contour's resolvent or from the
+    matrix handed to eigvalsh, whose couplings -coupling * w_J are then w_J."""
+    solved, eigvalsh, resolvent = [], np.linalg.eigvalsh, ham._anchor_resolvent
+
+    def eigen_spy(h):
+        solved.append((np.diag(h)[1:].copy(), h[1:, 0].copy()))
+        return eigvalsh(h)
+
+    def contour_spy(z, coupling, v_a, d_a, poles, weights):
+        solved.append((poles.copy(), weights.copy()))
+        return resolvent(z, coupling, v_a, d_a, poles, weights)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ham.np.linalg, "eigvalsh", eigen_spy)
+        patch.setattr(ham, "_anchor_resolvent", contour_spy)
+        ham.coupled_success_series(-1.0, v, anchor, d, ts)
+    (poles, weights), = solved
+    return poles, weights
+
+
+def unique_deflation(v, anchor, d):
+    """The reference grouping: np.unique's poles, and bincount's sums of v_j^2
+    over the coupled states other than the anchor, in index order."""
+    v = np.broadcast_to(np.asarray(v, dtype=float), d.shape)
+    rest = np.flatnonzero(v)
+    rest = rest[rest != anchor]
+    poles, group = np.unique(d[rest], return_inverse=True)
+    return poles, np.sqrt(np.bincount(group, weights=v[rest] ** 2, minlength=poles.size))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouping_matches_unique_and_bincount_bit_for_bit(monkeypatch, seed):
+    # groups of up to ~90 states, so a pairwise sum would round differently
+    # from bincount's sequential one; signed zeros, zero and unequal v_j,
+    # and the sigma = 0 rows of the searches, on both paths
+    rng = np.random.default_rng(seed)
+    m = 8
+    d = rng.choice([-0.75, -0.5, 0.0, 0.25, 1.5], 2**m)
+    d[d == 0] = rng.choice([0.0, -0.0], np.count_nonzero(d == 0))
+    ragged = rng.uniform(-1.0, 1.0, 2**m)
+    sparse = np.where(rng.random(2**m) < 0.3, 0.0, ragged)
+    equal = ham.detuning_diagonal(ham.DetuningProfile.equal(m, 0.5), m)
+    distinct = np.round(rng.uniform(-2.0, 2.0, 2**m), 2)
+    for detunings in (d, equal, distinct):
+        for v in (ragged, sparse, 2.0 ** (-m / 2), 0.3):
+            anchor = int(rng.integers(2**m))
+            for t_max in (1.0, 40.0):
+                poles, weights = solved_arrowhead(monkeypatch, v, anchor, detunings,
+                                                  ham.time_grid(t_max, 50))
+                ref_poles, ref_weights = unique_deflation(v, anchor, detunings)
+                assert weights.tobytes() == ref_weights.tobytes()
+                # np.unique keeps whichever of +0.0 and -0.0 its unstable sort
+                # puts first, so a zero pole is compared by value
+                assert (poles + 0.0).tobytes() == (ref_poles + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("m,encoded", [(3, False), (8, False), (8, True), (10, True)])
+def test_scalar_and_array_v_give_the_same_series_bit_for_bit(m, encoded, sigma):
+    if encoded:
+        code = dfs.balanced_code(m)
+        support, n = np.array(code.code_indices), code.logical_qubits
+    else:
+        support, n = np.arange(2**m), m
+    v = GroverInstance(n, 0).epsilon
+    rng = np.random.default_rng([m, int(encoded)])
+    profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
+    d = ham.signed_detunings(profile, ham.sign_columns(m, support))
+    for ts in (xp.search_window(n), ham.time_grid(200.0, 97), np.array([0.0, 3.0, 1.0])):
+        scalar = ham.coupled_success_series(2.0 * v, v, 0, d, ts, qubits=m)
+        array = ham.coupled_success_series(2.0 * v, np.full(d.size, v), 0, d, ts, qubits=m)
+        assert scalar.tobytes() == array.tobytes()
+
+
+def test_memory_guard_messages_are_filled_only_on_refusal(monkeypatch):
+    inst = GroverInstance(8, 255)
+    profile = ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q)
+    ts = ham.time_grid(4 * math.pi, 400)
+    need = OVERSIZED_SERIES["contour"][1]
+    # the guard asks for the memory on every call: nothing is cached
+    for available, refused in ((need, False), (need - 1, True), (None, False), (need - 1, True)):
+        monkeypatch.setattr(ham, "physical_memory", lambda: available)
+        if refused:
+            message = (f"the detuned series on 8 qubits needs {need} bytes (256-level arrowhead, "
+                       f"400 time points), more than the {need - 1} bytes of physical memory")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ham.evolve_with_errors(inst, profile, ts)
+        else:
+            assert ham.evolve_with_errors(inst, profile, ts).shape == (400, 2)
+    monkeypatch.setattr(ham, "physical_memory", lambda: 8 * 5)
+    message = "a time grid of 6 points (--grid-points) needs 48 bytes, more than the 40 bytes"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} of physical memory$"):
+        ham.time_grid(1.0, 6)
