@@ -111,15 +111,20 @@ def search_window(logical_qubits: int, t_max: float | None = None,
     return time_grid(t_max, points)
 
 
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normal variates via the Box-Muller transform of uniform draws.
 
     Using an explicit transform of rng.random() keeps the draw sequence a
     deterministic function of the seed, independent of any library-internal
-    normal sampler.
+    normal sampler.  `shape` is n, or (rows, n) for rows of n: each row
+    transforms n uniform draws for u1 and then n for u2, all from one
+    rng.random call, so a (rows, n) array holds the doubles of `rows`
+    successive calls with n.
     """
-    u1 = 1.0 - rng.random(n)   # in (0, 1], keeps the log finite
-    u2 = rng.random(n)
+    *rows, n = np.atleast_1d(shape)
+    u = rng.random((*rows, 2, n))
+    u1 = 1.0 - u[..., 0, :]   # in (0, 1], keeps the log finite
+    u2 = u[..., 1, :]
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
@@ -192,6 +197,13 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     unencoded to the m-qubit search's own ideal peak time, which lies beyond
     it for m >= 10.  The summary keeps every trial's maximum as one
     (spreads x trials) array.
+
+    Each spread draws its (trials x m) standard normals at once, the same
+    doubles as drawing them trial by trial, and refuses a non-finite
+    detuning anywhere in that row as DetuningProfile does.  At sigma = 0
+    every trial's profile is (omega_mean, ..., omega_mean), so one series
+    serves the row; its normals are still drawn, and the generator advances
+    as for any other spread.
     """
     if trials < 1:
         raise ValueError(f"the trial count (--trials) must be >= 1, got {trials}")
@@ -215,18 +227,25 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     coupling, support, anchor = _search_problem(m_phys, x0, with_encoding)
     signs, v = sign_columns(m_phys, support), coupling / 2.0
     rng = np.random.default_rng(seed)
+    scale = 2.0 ** (-m_phys / 2.0)
     per_trial = np.empty((len(sigma_grid), trials))
-    means, stderrs = np.empty(len(sigma_grid)), np.empty(len(sigma_grid))
-    for i, (sigma, maxima) in enumerate(zip(sigma_grid, per_trial)):
-        for k in range(trials):
-            omegas = omega_mean + sigma * omega_mean * standard_normals(rng, m_phys)
-            d = signed_detunings(DetuningProfile(tuple(omegas)), signs)
+    for sigma, maxima in zip(sigma_grid, per_trial):
+        rows = omega_mean + sigma * omega_mean * standard_normals(rng, (trials, m_phys))
+        if not (finite := np.isfinite(rows).all(axis=1)).all():
+            raise ValueError(f"detunings must be finite numbers, got {rows[~finite][0].tolist()}")
+        # at sigma = 0 every row is (omega_mean, ..., omega_mean) exactly
+        for k, omegas in enumerate(rows[:1] if sigma == 0 else rows):
+            # signed_detunings' sum, a qubit at a time
+            d = np.add.reduce((omegas * scale)[:, None] * signs, axis=0)
             maxima[k] = coupled_success_series(coupling, v, anchor, d, ts, qubits=m_phys).max()
-        # centred on the first trial, so identical maxima give their own
-        # value and a spread of exactly zero
-        dev = maxima - maxima[0]
-        means[i] = maxima[0] + dev.mean()
-        stderrs[i] = dev.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+        if sigma == 0:
+            maxima[1:] = maxima[0]
+    # centred on each spread's first trial, so identical maxima give their
+    # own value and a spread of exactly zero
+    dev = per_trial - per_trial[:, :1]
+    means = per_trial[:, 0] + dev.mean(axis=1)
+    stderrs = (dev.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1
+               else np.zeros(len(sigma_grid)))
     config = {
         "scenario": "monte_carlo_sweep", "m_physical": m_phys, "with_encoding": with_encoding,
         "x0": x0, "trials": trials, "omega_mean": omega_mean, "sigma_grid": sigma_grid,

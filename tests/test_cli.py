@@ -186,6 +186,22 @@ def test_oversized_time_grid_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args,need,states", [
+    (["fig4", "--m", "10"], 18 * 2**10, 2**10),
+    # the encoded sweep's 128 code words; the 5-point window fits
+    (["fig7", "--m", "10", "--trials", "1", "--sigma-grid", "0:0:1", "--grid-points", "5"],
+     18 * 128, 128),
+], ids=["fig4", "fig7"])
+def test_oversized_sign_table_exits_2(tmp_path, capsys, monkeypatch, args, need, states):
+    # ten int8 rows and one int64 row of states, a byte short
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: need - 1)
+    assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert (f"on 10 qubits needs {need} bytes for its sign table of {states} states (--m), "
+            f"more than the {need - 1} bytes of physical memory") in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("args,named", [
     (["--trials", "1000000000000"], "1000000000000 trials (--trials) at 11 spreads"),
     (["--sigma-grid", "0:1:1e-12"], "sigma grid of 1000000000001 spreads (--sigma-grid"),

@@ -207,6 +207,107 @@ def test_standard_normals_moments_and_determinism():
     assert np.array_equal(sample, again)
 
 
+def spy_series(monkeypatch):
+    """Record the (detunings, window) of every series the sweep asks for, and
+    answer each with a ramp whose maximum is the call's index."""
+    calls = []
+
+    def spy(coupling, v, anchor, d, ts, *, qubits=None):
+        calls.append((d, ts))
+        return np.linspace(0.0, len(calls) - 1, ts.size)
+
+    monkeypatch.setattr(xp, "coupled_success_series", spy)
+    return calls
+
+
+@pytest.mark.parametrize("m", [4, 8, 10])
+@pytest.mark.parametrize("trials", [1, 2, 7, 200])
+def test_row_draws_match_per_trial_draws_bit_for_bit(monkeypatch, m, trials):
+    # numpy's SIMD log and cos may round an array's body and tail apart, so
+    # the row form is compared with the per-trial form at several lengths
+    row = xp.standard_normals(np.random.default_rng(trials), (trials, m))
+    rng = np.random.default_rng(trials)
+    per_trial = np.array([xp.standard_normals(rng, m) for _ in range(trials)])
+    assert row.tobytes() == per_trial.tobytes()
+    # and the generator has advanced as far
+    after_row = np.random.default_rng(trials)
+    xp.standard_normals(after_row, (trials, m))
+    assert after_row.random() == rng.random()
+    # the sweep's detunings, spread by spread and trial by trial, are the
+    # ones DetuningProfile and signed_detunings give each trial's draws
+    sigmas, seed = [0.0, 0.3, 1.0], 40 + m
+    calls = spy_series(monkeypatch)
+    xp.monte_carlo_sweep(m, trials, 0.5, sigmas, seed, with_encoding=False, grid_points=5)
+    rng, signs = np.random.default_rng(seed), hamiltonian.sign_columns(m, np.arange(2**m))
+    expected = []
+    for sigma in sigmas:
+        profiles = [DetuningProfile(tuple(0.5 + sigma * 0.5 * xp.standard_normals(rng, m)))
+                    for _ in range(trials)]
+        expected += profiles[:1] if sigma == 0 else profiles
+    assert len(calls) == len(expected)
+    for (d, _), profile in zip(calls, expected):
+        assert d.tobytes() == hamiltonian.signed_detunings(profile, signs).tobytes()
+
+
+def test_zero_spread_row_runs_one_series(monkeypatch):
+    calls = spy_series(monkeypatch)
+    result = xp.monte_carlo_sweep(4, 5, 0.5, [0.0, 0.5, 0.0], 3, with_encoding=True,
+                                  grid_points=7)
+    # one series for each zero-spread row, one a trial for the other
+    assert len(calls) == 1 + 5 + 1
+    per_trial = result.summary["per_trial_max"]
+    assert per_trial.tolist() == [[0.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0], [6.0] * 5]
+    assert result.column("mean_max_probability").tolist() == [0.0, 3.0, 6.0]
+    assert result.column("stderr")[[0, 2]].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 7, 200])
+def test_sweep_statistics_match_the_per_spread_formulas(monkeypatch, trials):
+    rng = np.random.default_rng(trials)
+    monkeypatch.setattr(xp, "coupled_success_series",
+                        lambda *args, **kwargs: rng.random(3))
+    result = xp.monte_carlo_sweep(4, trials, 0.5, [0.1, 0.2, 0.4], 1, with_encoding=False,
+                                  grid_points=3)
+    for maxima, mean, stderr in zip(result.summary["per_trial_max"],
+                                    result.column("mean_max_probability"),
+                                    result.column("stderr")):
+        dev = maxima - maxima[0]
+        assert mean == maxima[0] + dev.mean()
+        assert stderr == (dev.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0)
+
+
+@pytest.mark.parametrize("trial,qubit,bad", [(0, 0, math.inf), (3, 2, math.nan),
+                                             (5, 3, -math.inf)])
+def test_non_finite_draw_anywhere_in_a_row_is_refused(monkeypatch, trial, qubit, bad):
+    # the second spread's row carries one non-finite normal; the refusal is
+    # DetuningProfile's, for that trial's detunings
+    normals, rows = xp.standard_normals, []
+
+    def poisoned(rng, shape):
+        rows.append(normals(rng, shape))
+        if len(rows) == 2:
+            rows[-1][trial, qubit] = bad
+        return rows[-1]
+
+    monkeypatch.setattr(xp, "standard_normals", poisoned)
+    with pytest.raises(ValueError) as refused:
+        xp.monte_carlo_sweep(4, 6, 0.5, [0.2, 0.5], 8, with_encoding=True, grid_points=5)
+    with pytest.raises(ValueError) as expected:
+        DetuningProfile(tuple(0.5 + 0.5 * 0.5 * rows[1][trial]))
+    assert len(rows) == 2 and str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_encoded_maxima_depend_on_the_draws_only_through_sigma_times_mean(m):
+    # a balanced word's signs sum to 0, so a common detuning drops out of
+    # every code word's d_x: (mean, sigma) and (2 mean, sigma / 2) agree
+    sigmas = [0.0, 0.2, 1.0, 3.0]
+    base = xp.monte_carlo_sweep(m, 3, 0.5, sigmas, 11, with_encoding=True)
+    doubled = xp.monte_carlo_sweep(m, 3, 1.0, [s / 2 for s in sigmas], 11, with_encoding=True)
+    gap = np.abs(base.summary["per_trial_max"] - doubled.summary["per_trial_max"])
+    assert gap.max() <= 1e-12
+
+
 def test_code_size_table_rows():
     table = xp.code_size_table([4, 8])
     assert table.columns == ["m", "exact_l", "floor_l", "hamming_l"]

@@ -8,7 +8,7 @@ from groverdfs import dfs, gates, hamiltonian as ham
 from groverdfs import experiments as xp
 from groverdfs.grover import GroverInstance, grover_step
 from groverdfs.statevec import (DenseOperator, StateVector, basis_state,
-                                embed_single_qubit, evolve_grid)
+                                embed_single_qubit, evolve_grid, grid_factors)
 
 
 def two_level_oracle(eps, t):
@@ -817,3 +817,76 @@ def test_memory_guard_messages_are_filled_only_on_refusal(monkeypatch):
     message = "a time grid of 6 points (--grid-points) needs 48 bytes, more than the 40 bytes"
     with pytest.raises(ValueError, match=f"^{re.escape(message)} of physical memory$"):
         ham.time_grid(1.0, 6)
+
+
+def contour_nodes(rng, count, poles):
+    """Midpoint nodes of an ellipse around the poles, upper half first and
+    then its conjugates in reverse, as the series lays them out."""
+    lo, hi = poles.min() - 0.5, poles.max() + 0.5
+    u = 0.3 + 2j * np.pi * (np.arange(count // 2) + 0.5) / count
+    upper = (lo + hi) / 2 + (hi - lo) / 2 * np.cosh(u)
+    return np.concatenate((upper, upper[::-1].conj()))
+
+
+@pytest.mark.parametrize("count,levels", [(32, 1), (62, 7), (150, 255)])
+def test_real_form_resolvent_matches_the_complex_reciprocals(count, levels):
+    rng = np.random.default_rng([count, levels])
+    poles = np.sort(rng.normal(0.0, 0.3, levels))
+    weights = rng.uniform(0.01, 0.2, levels)
+    z = contour_nodes(rng, count, poles)
+    coupling, v_a, d_a = 0.25, 0.125, float(rng.normal(0.0, 0.3))
+    s = (1.0 / np.subtract.outer(z, poles)) @ (weights * weights)
+    direct = (v_a + 1j * coupling * s) / (z - d_a - coupling * coupling * s)
+    got = ham._anchor_resolvent(z, coupling, v_a, d_a, poles, weights)
+    assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("points", [2, 3, 50, 400, 100_000])
+def test_phase_table_recurrence_matches_the_exponentials(points):
+    # both tables of a uniform grid are themselves uniform, the contour's
+    # nodes complex with a mirrored half and the eigenvalue path's real
+    rng = np.random.default_rng(points)
+    poles = np.sort(rng.normal(0.0, 0.3, 40))
+    z = contour_nodes(rng, 60, poles)
+    for ts in grid_factors(ham.time_grid(4.0 * math.pi, points).tobytes()):
+        for lam, mirrored in ((z, 30), (poles, 0)):
+            direct = np.exp(-1j * np.multiply.outer(ts, lam))
+            table = ham._phase_table(ts, lam, mirrored, True)
+            assert np.max(np.abs(table - direct) / np.abs(direct)) <= 1e-13
+
+
+def test_only_uniform_grids_take_the_phase_recurrence(monkeypatch):
+    uniform, table = [], ham._phase_table
+
+    def spy(ts, lam, mirrored, is_uniform):
+        uniform.append(is_uniform)
+        return table(ts, lam, mirrored, is_uniform)
+
+    monkeypatch.setattr(ham, "_phase_table", spy)
+    d = ham.detuning_diagonal(ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q), 8)
+    even = ham.time_grid(4 * math.pi, 400)
+    uneven = np.sort(np.random.default_rng(4).uniform(0.0, 4 * math.pi, 400))
+    for ts, expected in ((even, True), (uneven, False), (even[:1], False)):
+        uniform.clear()
+        ham.coupled_success_series(0.125, 2**-4, 0, d, ts)
+        assert uniform == [expected, expected]
+    # the direct table is the plain exponential, node by node
+    lam = np.linspace(-1.0, 1.0, 9)
+    assert table(uneven, lam, 0, False).tobytes() == \
+        np.exp(np.multiply.outer(uneven, -1j * lam)).tobytes()
+
+
+def test_sign_table_is_refused_before_allocating(monkeypatch):
+    # 3 int8 rows of 8 states plus one int64 row: 88 bytes
+    monkeypatch.setattr(ham, "physical_memory", lambda: 88)
+    assert ham.sign_columns(3, np.arange(8))[:, 5].tolist() == [-1, 1, -1]
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the table was allocated")
+
+    monkeypatch.setattr(ham, "physical_memory", lambda: 87)
+    monkeypatch.setattr(ham.np, "empty", no_allocation)
+    message = ("the detuned series on 3 qubits needs 88 bytes for its sign table of 8 states "
+               "(--m), more than the 87 bytes of physical memory")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ham.sign_columns(3, np.arange(8))
