@@ -25,8 +25,9 @@ import numpy as np
 from . import dfs, gates
 from .grover import GroverInstance
 from .hamiltonian import (DEFAULT_GRID_POINTS, DetuningProfile, _refuse_beyond_memory,
-                          coupled_success_series, evolve_with_errors, sign_columns,
-                          signed_detunings, time_grid)
+                          coupled_success_series, evolve_with_errors,
+                          require_finite_detunings, sign_columns, signed_detunings,
+                          time_grid)
 
 # Detunings of the 8-qubit benchmark, in units of <s|v>/tau = 2^-4.
 BENCHMARK_DETUNINGS_8Q = (0.92065, 1.1436, 0.71449, 1.39566, 1.29707, 0.70149, 1.19195, 1.00343)
@@ -152,7 +153,7 @@ def encoded_grover_evolution(m_phys: int, profile: DetuningProfile,
         x0_logical = 2**l - 1
     ts = np.asarray(t_grid, dtype=float) if t_grid is not None else search_window(l)
     coupling, support, anchor = _search_problem(m_phys, x0_logical, True)
-    d = signed_detunings(profile, sign_columns(m_phys, support))
+    d = signed_detunings(profile.absolute(), sign_columns(m_phys, support))
     p = coupled_success_series(coupling, coupling / 2.0, anchor, d, ts, qubits=m_phys)
     config = {
         "scenario": "encoded_evolution", "m_physical": m_phys, "m_logical": l,
@@ -199,8 +200,9 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     (spreads x trials) array.
 
     Each spread draws its (trials x m) standard normals at once, the same
-    doubles as drawing them trial by trial, and refuses a non-finite
-    detuning anywhere in that row as DetuningProfile does.  At sigma = 0
+    doubles as drawing them trial by trial, refuses a non-finite detuning
+    anywhere in that row with DetuningProfile's check, and sums each trial's
+    detunings over the support with `signed_detunings`.  At sigma = 0
     every trial's profile is (omega_mean, ..., omega_mean), so one series
     serves the row; its normals are still drawn, and the generator advances
     as for any other spread.
@@ -215,8 +217,11 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     sigma_grid = [float(s) for s in sigma_grid]
     if bad := [s for s in sigma_grid if not (math.isfinite(s) and s >= 0)]:
         raise ValueError(f"the spreads (--sigma-grid) must be finite and >= 0, got {bad[0]}")
-    _refuse_beyond_memory(8 * len(sigma_grid) * trials, "{0} trials (--trials) at {1} spreads",
-                          trials, len(sigma_grid))
+    # the per-trial maxima, and while a spread's row is drawn up to seven
+    # doubles a normal: the last row, two uniforms and four Box-Muller arrays
+    _refuse_beyond_memory(8 * trials * (len(sigma_grid) + 7 * m_phys),
+                          "{0} trials (--trials) at {1} spreads", trials, len(sigma_grid),
+                          m_phys, detail=" for their maxima and draws on {2} qubits")
     l = dfs.balanced_code(m_phys).logical_qubits
     t_max = 2.0 * ideal_peak_time(l)
     if not with_encoding:
@@ -231,12 +236,10 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     per_trial = np.empty((len(sigma_grid), trials))
     for sigma, maxima in zip(sigma_grid, per_trial):
         rows = omega_mean + sigma * omega_mean * standard_normals(rng, (trials, m_phys))
-        if not (finite := np.isfinite(rows).all(axis=1)).all():
-            raise ValueError(f"detunings must be finite numbers, got {rows[~finite][0].tolist()}")
+        require_finite_detunings(rows)
         # at sigma = 0 every row is (omega_mean, ..., omega_mean) exactly
         for k, omegas in enumerate(rows[:1] if sigma == 0 else rows):
-            # signed_detunings' sum, a qubit at a time
-            d = np.add.reduce((omegas * scale)[:, None] * signs, axis=0)
+            d = signed_detunings(omegas * scale, signs)
             maxima[k] = coupled_success_series(coupling, v, anchor, d, ts, qubits=m_phys).max()
         if sigma == 0:
             maxima[1:] = maxima[0]

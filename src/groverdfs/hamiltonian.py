@@ -23,6 +23,15 @@ from .statevec import DenseOperator, grid_factors
 DEFAULT_GRID_POINTS = 400
 
 
+def require_finite_detunings(profiles) -> None:
+    """Raise ValueError naming the first profile that holds a non-finite
+    detuning; `profiles` is one profile's detunings or an array with a
+    profile per row."""
+    rows = np.atleast_2d(np.asarray(profiles, dtype=float))
+    if not (finite := np.isfinite(rows).all(axis=1)).all():
+        raise ValueError(f"detunings must be finite numbers, got {rows[~finite][0].tolist()}")
+
+
 @dataclass(frozen=True)
 class DetuningProfile:
     """Per-qubit detunings, stored in units of the reference scale <s|v>/tau.
@@ -39,8 +48,7 @@ class DetuningProfile:
         omegas = tuple(float(w) for w in self.omegas)
         if not omegas:
             raise ValueError("a detuning profile needs at least one qubit")
-        if not all(map(math.isfinite, omegas)):
-            raise ValueError(f"detunings must be finite numbers, got {list(omegas)}")
+        require_finite_detunings(omegas)
         scale = self.scale
         if scale is None:
             scale = 2.0 ** (-len(omegas) / 2.0)
@@ -100,19 +108,20 @@ def sign_columns(m: int, indices: np.ndarray) -> np.ndarray:
     return signs
 
 
-def signed_detunings(profile: DetuningProfile, signs: np.ndarray) -> np.ndarray:
-    """sum_i omega_i s_i(x) for each column x of a sign table, summed from zeros
-    a qubit at a time: one reduction over the rows, which adds them in order.
-    Each omega_i s_i is exact, so an entry rounds alike on any support; a
+def signed_detunings(omegas: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_i omega_i s_i(x) for the absolute detunings omega_i (a profile's
+    absolute()) and each column x of a sign table, summed from zeros a qubit
+    at a time: one reduction over the rows, which adds them in order.  Each
+    omega_i s_i is exact, so an entry rounds alike on any support; a
     sign-table matrix product would round differently."""
-    if profile.num_qubits != len(signs):
-        raise ValueError(f"profile has {profile.num_qubits} detunings, expected {len(signs)}")
-    return np.add.reduce(profile.absolute()[:, None] * signs, axis=0)
+    if len(omegas) != len(signs):
+        raise ValueError(f"profile has {len(omegas)} detunings, expected {len(signs)}")
+    return np.add.reduce(omegas[:, None] * signs, axis=0)
 
 
 def detuning_diagonal(profile: DetuningProfile, m: int) -> np.ndarray:
     """Diagonal of H_d on all 2^m basis states, the dense reference's input."""
-    return signed_detunings(profile, sign_columns(m, np.arange(2**m)))
+    return signed_detunings(profile.absolute(), sign_columns(m, np.arange(2**m)))
 
 
 def detuning_hamiltonian(profile: DetuningProfile, m: int) -> DenseOperator:
@@ -210,7 +219,7 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
     n = ts.size
     if coupling == 0 or not poles.size:
         return np.full(n, v_a ** 2)
-    coarse, fine = grid_factors(ts.tobytes())
+    (coarse, coarse_step), (fine, fine_step) = grid_factors(ts.tobytes())
     d_a = d[anchor]
     lo = min(poles[0], d_a) - 1.02 * abs(coupling)
     hi = max(poles[-1], d_a) + 1.02 * abs(coupling)
@@ -253,10 +262,9 @@ def coupled_success_series(coupling: float, v: np.ndarray, anchor: int,
             rho = 1.0 / _secular(lam, d_a, poles, z2)[1]
         rho /= rho.sum()
         coef = rho * (v_a + 1j * (lam - d_a) / coupling)
-    uniform = fine.size > 1   # grid_factors returns any other grid whole, with fine = [0]
-    rows = _phase_table(coarse, lam, mirrored, uniform)
+    rows = _phase_table(coarse, lam, mirrored, coarse_step)
     rows *= coef
-    amp = (rows @ _phase_table(fine, lam, mirrored, uniform).T).ravel()[:n]
+    amp = (rows @ _phase_table(fine, lam, mirrored, fine_step).T).ravel()[:n]
     p = amp.real ** 2 + amp.imag ** 2
     p[ts == 0] = v_a ** 2
     return p
@@ -287,19 +295,22 @@ def _anchor_resolvent(z: np.ndarray, coupling: float, v_a: float, d_a: float,
     return (v_a + 1j * coupling * s) / (z - d_a - coupling * coupling * s)
 
 
-def _phase_table(ts: np.ndarray, lam: np.ndarray, mirrored: int, uniform: bool) -> np.ndarray:
+def _phase_table(ts: np.ndarray, lam: np.ndarray, mirrored: int,
+                 step: float | None) -> np.ndarray:
     """exp(-i t lam) with a row per t and a column per node, where the last
     `mirrored` nodes are the conjugates of the first ones in reverse order:
     exp(-i conj(z) t) = exp(-i z t) exp(-2 Im(z) t) needs only a real exponential.
-    On a `uniform` grid, t_j = t_0 + j (t_1 - t_0), the other nodes' columns are
-    powers of exp(-i lam (t_1 - t_0)), one running product down the rows; the
-    powers drift from the direct exponentials by a few ulps per row."""
+    Given the `step` of a uniform ts, t_j = t_0 + j step (as grid_factors
+    reports it), the other nodes' columns are powers of exp(-i lam step), one
+    running product down the rows; the powers drift from the direct
+    exponentials by a few ulps per row.  With step None every entry is its
+    own exponential."""
     table = np.empty((ts.size, lam.size), dtype=complex)
     upper = lam.size - mirrored
     head = table[:, :upper]
-    if uniform and ts.size > 1:
+    if step is not None:
         head[0] = np.exp(-1j * ts[0] * lam[:upper])
-        head[1:] = np.exp(-1j * (ts[1] - ts[0]) * lam[:upper])
+        head[1:] = np.exp(-1j * step * lam[:upper])
         np.multiply.accumulate(head, axis=0, out=head)
     else:
         np.exp(np.multiply.outer(ts, -1j * lam[:upper]), out=head)

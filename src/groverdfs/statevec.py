@@ -163,9 +163,11 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 @lru_cache(maxsize=2)
 def grid_factors(raw: bytes) -> tuple:
-    """(coarse, fine) times of the float64 grid with bytes `raw`: for a uniform
-    grid t_j = j dt every B-th point and the first B, B = ceil(sqrt(T)), so
-    t_{aB+b} = coarse_a + fine_b; any other grid whole, with fine = [0].
+    """((coarse, step), (fine, step)) of the float64 grid with bytes `raw`: for
+    a uniform grid t_j = j dt every B-th point and the first B, B =
+    ceil(sqrt(T)), so t_{aB+b} = coarse_a + fine_b; any other grid whole, with
+    fine = [0].  Each table comes with its spacing, t_1 - t_0, or None where it
+    has none: a table of one time, or one from a grid that is not uniform.
     Memoized for the last two grids (fig7's two windows); read-only arrays."""
     ts = np.frombuffer(raw)
     # np.linspace sets its last point to the end of the window, up to an ulp
@@ -173,8 +175,9 @@ def grid_factors(raw: bytes) -> tuple:
     if ts.size > 1 and np.all(np.abs(ts - np.arange(ts.size) * ts[1])
                               <= 4 * np.finfo(float).eps * abs(ts[-1])):
         step = math.isqrt(ts.size - 1) + 1
-        return ts[::step], ts[:step]
-    return ts, np.frombuffer(bytes(8))
+        coarse_step = ts[step] - ts[0] if step < ts.size else None
+        return (ts[::step], coarse_step), (ts[:step], ts[1] - ts[0])
+    return (ts, None), (np.frombuffer(bytes(8)), None)
 
 
 def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
@@ -209,7 +212,7 @@ def evolve_grid(H: DenseOperator, times, psi0: StateVector) -> np.ndarray:
     gauged = gauge.conj()[:, None] * h * gauge
     real = not np.any(gauged.imag)
     w, u = np.linalg.eigh(gauged.real if real else h)
-    coarse, fine = grid_factors(ts.tobytes())
+    (coarse, _), (fine, _) = grid_factors(ts.tobytes())
     phases = (np.exp(-1j * np.multiply.outer(coarse, w))[:, None]
               * np.exp(-1j * np.multiply.outer(fine, w))).reshape(-1, w.size)[:ts.size]
     if real:

@@ -207,12 +207,24 @@ def test_oversized_sign_table_exits_2(tmp_path, capsys, monkeypatch, args, need,
     (["--sigma-grid", "0:1:1e-12"], "sigma grid of 1000000000001 spreads (--sigma-grid"),
 ], ids=["trials", "sigma-grid"])
 def test_oversized_fig7_exits_2(tmp_path, capsys, monkeypatch, args, named):
-    # a memory probe reading 1 GB refuses 88 TB of per-trial maxima and 32 TB
-    # of spreads before either is allocated
+    # a memory probe reading 1 GB refuses 536 TB of per-trial maxima and
+    # draws and 32 TB of spreads before either is allocated
     monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**30)
     assert run_cli(["fig7", *args, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert named in err and "physical memory" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fig7_counts_each_spreads_draws_in_its_memory_check(tmp_path, capsys, monkeypatch):
+    # 2000 trials' 11 maxima take 176 KB and fit in 1 MB; a spread's row of
+    # 2000 x 8 normals takes up to 7 doubles a normal while it is drawn, and
+    # the two together, 1072 KB, do not
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
+    assert run_cli(["fig7", "--trials", "2000", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert ("2000 trials (--trials) at 11 spreads needs 1072000 bytes for their maxima and "
+            "draws on 8 qubits, more than the 1048576 bytes of physical memory") in err
     assert not (tmp_path / "x.csv").exists()
 
 

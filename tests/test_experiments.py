@@ -167,9 +167,11 @@ def test_monte_carlo_validation():
 
 
 def test_monte_carlo_refuses_trials_beyond_memory(monkeypatch):
-    # 2 spreads x 65537 trials of 8-byte maxima are 16 bytes more than 1 MB
-    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**20)
-    with pytest.raises(ValueError, match=r"65537 trials \(--trials\) at 2 spreads needs 1048592 bytes"):
+    # a trial's 2 maxima of 8 bytes and up to 7 doubles for each of its 2
+    # normals while a row is drawn: 65537 trials are 128 bytes more than 8 MB
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**23)
+    with pytest.raises(ValueError, match=r"65537 trials \(--trials\) at 2 spreads needs 8388736 "
+                                         r"bytes for their maxima and draws on 2 qubits"):
         xp.monte_carlo_sweep(2, trials=65537, omega_mean=0.5, sigma_grid=[0.0, 0.1],
                              seed=1, with_encoding=True)
 
@@ -246,7 +248,7 @@ def test_row_draws_match_per_trial_draws_bit_for_bit(monkeypatch, m, trials):
         expected += profiles[:1] if sigma == 0 else profiles
     assert len(calls) == len(expected)
     for (d, _), profile in zip(calls, expected):
-        assert d.tobytes() == hamiltonian.signed_detunings(profile, signs).tobytes()
+        assert d.tobytes() == hamiltonian.signed_detunings(profile.absolute(), signs).tobytes()
 
 
 def test_zero_spread_row_runs_one_series(monkeypatch):

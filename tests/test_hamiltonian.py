@@ -502,7 +502,7 @@ def test_window_beyond_any_node_count_takes_the_eigenvalue_path(monkeypatch):
 def support_series(m, x0, encoded, profile, ts):
     """The search series on its support, as monte_carlo_sweep runs it."""
     coupling, support, anchor = xp._search_problem(m, x0, encoded)
-    d = ham.signed_detunings(profile, ham.sign_columns(m, support))
+    d = ham.signed_detunings(profile.absolute(), ham.sign_columns(m, support))
     return ham.coupled_success_series(coupling, coupling / 2.0, anchor, d, ts, qubits=m)
 
 
@@ -566,7 +566,7 @@ def test_signed_detunings_match_a_qubit_by_qubit_loop_bit_for_bit(m):
         loop = np.zeros(2**m)
         for omega, s in zip(profile.absolute(), signs):
             loop += omega * s
-        assert ham.signed_detunings(profile, signs).tobytes() == loop.tobytes()
+        assert ham.signed_detunings(profile.absolute(), signs).tobytes() == loop.tobytes()
 
 
 # The tables of each path for the 256-level benchmark problem on 400 points:
@@ -716,10 +716,10 @@ def test_detuning_diagonal_reads_the_sign_columns(m):
     assert np.array_equal(signs[0], np.where(np.arange(2**m) < 2**(m - 1), 1, -1))
     subset = np.random.default_rng(m).choice(2**m, size=(2**m + 2) // 3, replace=False)
     diag = ham.detuning_diagonal(profile, m)
-    assert np.array_equal(ham.signed_detunings(profile, ham.sign_columns(m, subset)),
+    assert np.array_equal(ham.signed_detunings(profile.absolute(), ham.sign_columns(m, subset)),
                           diag[subset])
     with pytest.raises(ValueError, match=f"profile has {m} detunings, expected {m + 1}"):
-        ham.signed_detunings(profile, ham.sign_columns(m + 1, subset))
+        ham.signed_detunings(profile.absolute(), ham.sign_columns(m + 1, subset))
 
 
 def solved_arrowhead(monkeypatch, v, anchor, d, ts):
@@ -791,7 +791,7 @@ def test_scalar_and_array_v_give_the_same_series_bit_for_bit(m, encoded, sigma):
     v = GroverInstance(n, 0).epsilon
     rng = np.random.default_rng([m, int(encoded)])
     profile = ham.DetuningProfile(tuple(0.5 + sigma * 0.5 * rng.standard_normal(m)))
-    d = ham.signed_detunings(profile, ham.sign_columns(m, support))
+    d = ham.signed_detunings(profile.absolute(), ham.sign_columns(m, support))
     for ts in (xp.search_window(n), ham.time_grid(200.0, 97), np.array([0.0, 3.0, 1.0])):
         scalar = ham.coupled_success_series(2.0 * v, v, 0, d, ts, qubits=m)
         array = ham.coupled_success_series(2.0 * v, np.full(d.size, v), 0, d, ts, qubits=m)
@@ -848,19 +848,19 @@ def test_phase_table_recurrence_matches_the_exponentials(points):
     rng = np.random.default_rng(points)
     poles = np.sort(rng.normal(0.0, 0.3, 40))
     z = contour_nodes(rng, 60, poles)
-    for ts in grid_factors(ham.time_grid(4.0 * math.pi, points).tobytes()):
+    for ts, step in grid_factors(ham.time_grid(4.0 * math.pi, points).tobytes()):
         for lam, mirrored in ((z, 30), (poles, 0)):
             direct = np.exp(-1j * np.multiply.outer(ts, lam))
-            table = ham._phase_table(ts, lam, mirrored, True)
+            table = ham._phase_table(ts, lam, mirrored, step)
             assert np.max(np.abs(table - direct) / np.abs(direct)) <= 1e-13
 
 
 def test_only_uniform_grids_take_the_phase_recurrence(monkeypatch):
     uniform, table = [], ham._phase_table
 
-    def spy(ts, lam, mirrored, is_uniform):
-        uniform.append(is_uniform)
-        return table(ts, lam, mirrored, is_uniform)
+    def spy(ts, lam, mirrored, step):
+        uniform.append(step is not None)
+        return table(ts, lam, mirrored, step)
 
     monkeypatch.setattr(ham, "_phase_table", spy)
     d = ham.detuning_diagonal(ham.DetuningProfile(xp.BENCHMARK_DETUNINGS_8Q), 8)
@@ -872,7 +872,7 @@ def test_only_uniform_grids_take_the_phase_recurrence(monkeypatch):
         assert uniform == [expected, expected]
     # the direct table is the plain exponential, node by node
     lam = np.linspace(-1.0, 1.0, 9)
-    assert table(uneven, lam, 0, False).tobytes() == \
+    assert table(uneven, lam, 0, None).tobytes() == \
         np.exp(np.multiply.outer(uneven, -1j * lam)).tobytes()
 
 

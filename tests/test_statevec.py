@@ -386,30 +386,34 @@ def test_evolve_grid_on_a_uniform_grid_matches_the_unfactored_table(t_max, point
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
     times = np.linspace(0.0, t_max, points)
-    assert sv.grid_factors(times.tobytes())[1].size == math.isqrt(points - 1) + 1
+    assert sv.grid_factors(times.tobytes())[1][0].size == math.isqrt(points - 1) + 1
     states = sv.evolve_grid(h, times, sv.StateVector(4, psi))
     assert np.max(np.abs(states - _full_eigh_evolution(h.matrix, times, psi))) <= 1e-13
 
 
 def test_grid_factors_split_each_grid_by_its_own_points():
     uniform = np.linspace(0.0, 10.0, 400)
-    coarse, fine = sv.grid_factors(uniform.tobytes())
+    (coarse, coarse_step), (fine, fine_step) = sv.grid_factors(uniform.tobytes())
     assert np.array_equal(coarse, uniform[::20]) and np.array_equal(fine, uniform[:20])
+    assert coarse_step == uniform[20] and fine_step == uniform[1]
+    # a two-point grid's coarse table holds one time, and so has no spacing
+    assert sv.grid_factors(uniform[:2].tobytes())[0][1] is None
     # the same size and end points with other interior points: not uniform,
-    # so the grid is whole with the one fine time 0
+    # so the grid is whole with the one fine time 0 and no spacings
     bent = uniform.copy()
     bent[1:-1] += 1e-3 * np.sin(np.arange(1, 399))
     uneven = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
     uneven[[0, -1]] = 0.0, 10.0
     for grid in (bent, uneven):
-        coarse, fine = sv.grid_factors(grid.tobytes())
+        (coarse, coarse_step), (fine, fine_step) = sv.grid_factors(grid.tobytes())
         assert np.array_equal(coarse, grid) and np.array_equal(fine, [0.0])
+        assert coarse_step is None and fine_step is None
     # memoized by content: asking again returns the first grid's own split,
     # as arrays no caller can write
-    coarse, fine = sv.grid_factors(uniform.tobytes())
+    (coarse, _), (fine, _) = sv.grid_factors(uniform.tobytes())
     assert np.array_equal(coarse, uniform[::20]) and np.array_equal(fine, uniform[:20])
     for grid in (uniform, bent):
-        for part in sv.grid_factors(grid.tobytes()):
+        for part, _ in sv.grid_factors(grid.tobytes()):
             assert not part.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 part[0] = 1.0
