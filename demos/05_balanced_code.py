@@ -12,7 +12,7 @@ alone does not.
 import numpy as np
 
 from groverdfs import (DetuningProfile, balanced_code, code_mixing_norm, collective_z,
-                       detuning_hamiltonian, encode, h_tilde, logical_hadamard_2phys,
+                       detuning_diagonal, encode, h_tilde, logical_hadamard_2phys,
                        verify_error_free)
 from groverdfs.statevec import basis_state, embed_single_qubit
 
@@ -24,12 +24,12 @@ print(f"subspace dimension {code.dimension}, logical qubits {code.logical_qubits
       f"code words {[format(b, '04b') for b in code.code_indices]}\n")
 
 cert = verify_error_free(code, collective_z(4, omega=1.0))
-print(f"equal detunings:   eigenvalue {cert.eigenvalue.real:+.1f}, "
+print(f"equal detunings:   eigenvalue {cert.eigenvalue:+.1f}, "
       f"residual {cert.residual_norm:.1e} -> certificate valid: {cert.is_valid}")
 
-uneven = detuning_hamiltonian(DetuningProfile((1.0, 2.0, 3.0, 4.0), scale=1.0), 4)
+uneven = detuning_diagonal(DetuningProfile((1.0, 2.0, 3.0, 4.0), scale=1.0), 4)
 cert = verify_error_free(code, uneven)
-print(f"unequal detunings: eigenvalue {cert.eigenvalue.real:+.1f}, "
+print(f"unequal detunings: eigenvalue {cert.eigenvalue:+.1f}, "
       f"residual {cert.residual_norm:.1e} -> certificate valid: {cert.is_valid}")
 print("(code words pick up different phases, so no common eigenvalue exists)\n")
 

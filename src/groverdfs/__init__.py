@@ -2,8 +2,8 @@
 Hamiltonian, coherent detuning errors, and stabilization by balanced-weight
 error-avoiding codes."""
 
-from .statevec import (DenseOperator, StateVector, apply, basis_state,
-                       embed_single_qubit, evolve_grid, inner_product)
+from .statevec import (DenseOperator, StateVector, basis_state, embed_single_qubit,
+                       evolve_grid)
 from .gates import (cnot, h_tilde, hadamard, oracle, pauli, phase_inversion,
                     phase_inversion_via_oracle, walsh_hadamard)
 from .grover import (GroverInstance, OptimalIterations, apply_step,
@@ -11,9 +11,8 @@ from .grover import (GroverInstance, OptimalIterations, apply_step,
                      run_grover, step_iterates, success_amplitude,
                      success_probabilities, success_probability,
                      two_level_matrix)
-from .hamiltonian import (DetuningProfile, GroverHamiltonian,
-                          detuning_hamiltonian, evolve_with_errors,
-                          grover_hamiltonian, trotter_error)
+from .hamiltonian import (DetuningProfile, GroverHamiltonian, detuning_diagonal,
+                          evolve_with_errors, grover_hamiltonian, trotter_error)
 from .dfs import (BalancedCode, ErrorFreeCertificate, balanced_code,
                   code_dimension, code_mixing_norm, collective_z, encode,
                   hamming_bound_logical, logical_hadamard_2phys,

@@ -4,9 +4,9 @@ All m-bit strings with exactly m/2 ones are eigenstates of the collective
 detuning operator sum_i sigma_z^(i) with eigenvalue zero, so any state
 encoded in their span is untouched by equal detunings of all qubits.  This
 module enumerates those codes, builds the encoding isometry, verifies the
-error-free-subspace condition E|psi> = c|psi|>, constructs the
-two-physical-qubit logical Hadamard with its leakage check, and compares
-the code size against the quantum Hamming bound.
+error-free-subspace condition E|psi> = c|psi> for a diagonal error E given
+as its vector, constructs the two-physical-qubit logical Hadamard with its
+leakage check, and compares the code size against the quantum Hamming bound.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gates
+from .hamiltonian import _refuse_beyond_memory
 from .statevec import DenseOperator, StateVector, embed_single_qubit
 
 CERTIFICATE_TOL = 1e-10
@@ -70,8 +71,11 @@ def balanced_code(m: int) -> BalancedCode:
     if m < 2 or m % 2:
         raise ValueError(f"balanced codes need an even qubit count >= 2, got {m}")
     q = m // 2
-    states = tuple(x for x in range(2**m) if x.bit_count() == q)
     dim = code_dimension(m, q)
+    # a tuple slot and an int object per word on 64-bit CPython
+    _refuse_beyond_memory(40 * dim, "the balanced code on {0} qubits", m, dim,
+                          detail=" for its {1} words (--m)")
+    states = tuple(x for x in range(2**m) if x.bit_count() == q)
     l = int(math.floor(math.log2(dim)))
     return BalancedCode(m, q, states, dim, l)
 
@@ -118,15 +122,15 @@ def redundancy_gap(m: int) -> RedundancyGap:
 
 @dataclass(frozen=True)
 class ErrorFreeCertificate:
-    """Outcome of checking E V = c V over all code words.
+    """Outcome of checking E V = c V over all code words, for E = diag(diagonal).
 
-    The eigenvalue is the Rayleigh quotient of the first code word; the
-    residual is the largest entry of E V - c V.  An invalid certificate is
-    a result, not an error.
+    The eigenvalue is E's entry at the first code word; the residual is the
+    largest entry of E V - c V.  An invalid certificate is a result, not an
+    error.
     """
 
     code: BalancedCode
-    error_operator: DenseOperator
+    diagonal: np.ndarray
     eigenvalue: complex
     residual_norm: float
     tolerance: float = CERTIFICATE_TOL
@@ -136,29 +140,27 @@ class ErrorFreeCertificate:
         return self.residual_norm <= self.tolerance
 
 
-def verify_error_free(code: BalancedCode, error_op: DenseOperator) -> ErrorFreeCertificate:
-    """Check whether every code word is an eigenstate of error_op with a common eigenvalue."""
-    if error_op.dim != 2**code.m:
-        raise ValueError(f"operator dimension {error_op.dim} does not match {code.m} qubits")
-    v = code.isometry
-    first = v[:, 0]
-    c = complex(first.conj() @ error_op.matrix @ first)
-    residual = float(np.max(np.abs(error_op.matrix @ v - c * v)))
-    return ErrorFreeCertificate(code, error_op, c, residual)
+def verify_error_free(code: BalancedCode, diagonal) -> ErrorFreeCertificate:
+    """Check whether every code word is an eigenstate of E = diag(diagonal), a
+    vector over all 2^m basis states, with a common eigenvalue: the code words
+    are basis states, so E V = c V holds exactly when E's entries agree on them."""
+    d = np.asarray(diagonal)
+    if d.shape != (2**code.m,):
+        raise ValueError(f"diagonal of shape {d.shape} does not match {code.m} qubits")
+    on_code = d[list(code.code_indices)]
+    c = on_code[0].item()
+    return ErrorFreeCertificate(code, d, c, float(np.max(np.abs(on_code - c))))
 
 
-def collective_z(m: int, omega: float = 1.0) -> DenseOperator:
-    """Equal-detuning error operator omega * sum_i sigma_z^(i).
+def collective_z(m: int, omega: float = 1.0) -> np.ndarray:
+    """Diagonal of the equal-detuning error operator omega * sum_i sigma_z^(i).
 
-    The diagonal is omega * (m - 2 popcount(x)): the sign sum is taken in
+    The entry at x is omega * (m - 2 popcount(x)): the sign sum is taken in
     integer arithmetic, so balanced states map to exactly zero.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    idx = np.arange(2**m)
-    counts = np.bitwise_count(idx).astype(np.int64)
-    return DenseOperator(np.diag(omega * (m - 2 * counts).astype(complex)),
-                         frozenset({"hermitian", "diagonal"}))
+    return omega * (m - 2 * np.bitwise_count(np.arange(2**m)).astype(np.int64))
 
 
 def logical_hadamard_2phys() -> DenseOperator:

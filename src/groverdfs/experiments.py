@@ -14,6 +14,7 @@ Scenarios are named fig2/fig4/fig5/fig6/fig7 on the command line:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -131,16 +132,17 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
 
 def _search_problem(m_phys: int, x0: int, with_encoding: bool) -> tuple:
     """(coupling, support, anchor) of the search on m_phys physical qubits.
-    Unencoded, the generator couples |v> = H|x0> on all 2^m basis states to
-    |0...0> (anchor 0) with strength 2 eps, eps = 2^(-m/2).  Encoded, the
-    logical one (eps = 2^(-l/2)) is lifted through the code isometry V onto
-    the code words, basis states whose first is V|0...0>.  The series takes
-    v = eps on the support (see evolve_with_errors); x0 is only range-checked."""
+    Unencoded, the generator couples |v> = H|x0> on all 2^m basis states
+    (support None) to |0...0> (anchor 0) with strength 2 eps, eps = 2^(-m/2).
+    Encoded, the logical one (eps = 2^(-l/2)) is lifted through the code
+    isometry V onto the code words, basis states whose first is V|0...0>.  The
+    series takes v = eps on the support (see evolve_with_errors); x0 is only
+    range-checked."""
     if with_encoding:
         code = dfs.balanced_code(m_phys)
         n, support = code.logical_qubits, np.array(code.code_indices)
     else:
-        n, support = m_phys, np.arange(2**m_phys)
+        n, support = m_phys, None
     return 2.0 * GroverInstance(n, x0).epsilon, support, 0
 
 
@@ -222,7 +224,7 @@ def monte_carlo_sweep(m_phys: int, trials: int, omega_mean: float, sigma_grid,
     _refuse_beyond_memory(8 * trials * (len(sigma_grid) + 7 * m_phys),
                           "{0} trials (--trials) at {1} spreads", trials, len(sigma_grid),
                           m_phys, detail=" for their maxima and draws on {2} qubits")
-    l = dfs.balanced_code(m_phys).logical_qubits
+    l = dfs.logical_qubit_count(m_phys).floor
     t_max = 2.0 * ideal_peak_time(l)
     if not with_encoding:
         t_max = max(t_max, ideal_peak_time(m_phys))
@@ -352,14 +354,15 @@ def scenario_fig6(m: int = 8, x0: int | None = None, detunings=None,
     if detunings is None:
         detunings = BENCHMARK_DETUNINGS_8Q if m == 8 else (0.0,) * m
     profile = DetuningProfile(tuple(detunings))
-    code = dfs.balanced_code(m)
-    l = code.logical_qubits
+    l = dfs.logical_qubit_count(m).floor
     x0_logical = (2**l - 1) if x0 is None else x0
     _require_marked_item(x0_logical, l, "logical marked item")
     ts = search_window(l, t_max, grid_points)
     _require_phase_precision(ts, 2.0 * 2.0 ** (-l / 2.0), profile)
-    ideal = evolve_with_errors(GroverInstance(l, x0_logical), DetuningProfile.zeros(l), ts)[:, 1]
+    # the unencoded series first: its 2^m states outnumber the code's words,
+    # so its memory check refuses an oversized --m before the code is built
     detuned = evolve_with_errors(GroverInstance(m, 2**m - 1), profile, ts)[:, 1]
+    ideal = evolve_with_errors(GroverInstance(l, x0_logical), DetuningProfile.zeros(l), ts)[:, 1]
     encoded = encoded_grover_evolution(m, profile, x0_logical, ts).column("probability")
     config = {"scenario": "fig6", "m_physical": m, "m_logical": l,
               "x0_logical": x0_logical, "x0_unencoded": 2**m - 1,
@@ -461,6 +464,28 @@ def parse_detunings(spec: str) -> tuple:
         raise ValueError(f"detunings must be a comma-separated list of numbers: {exc}")
 
 
+SCENARIOS = {"fig2": scenario_fig2, "fig4": scenario_fig4, "fig5": scenario_fig5,
+             "fig6": scenario_fig6, "fig7": scenario_fig7}
+
+# Every scenario flag besides --out and --format, in the order a refusal names
+# them: its type and help.  A scenario takes the flags its runner's parameters
+# name, with the runner's defaults.  argparse converts int and float; the
+# parse_* types run after the unused-flag check, so their errors exit 2.
+_FLAGS = {
+    "m": (int, "qubit count (physical for fig6/fig7)"),
+    "x0": (int, "marked item (logical for fig6); the detuned series do not depend on it, "
+                "so the CSVs are byte-identical across --x0 and only the config echo changes"),
+    "detunings": (parse_detunings, "comma-separated per-qubit detunings in units of <s|v>/tau"),
+    "trials": (int, "Monte Carlo sample count"),
+    "sigma_grid": (parse_sigma_grid, "relative detuning spreads as a:b:step (units of the mean)"),
+    "omega_mean": (float, "mean detuning in units of <s|v>/tau"),
+    "seed": (int, "RNG seed (recorded in output)"),
+    "t_max": (float, "time window end in units of tau"),
+    "grid_points": (int, "number of time samples"),
+    "m_max": (int, "largest qubit count (fig5)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groverdfs",
@@ -469,62 +494,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a named scenario and write its results")
-    run.add_argument("scenario", choices=tuple(_SCENARIO_FLAGS))
-    run.add_argument("--m", type=int, default=None, help="qubit count (physical for fig6/fig7)")
-    run.add_argument("--x0", type=int, default=None,
-                     help="marked item (logical for fig6); the detuned series do not depend on "
-                          "it, so the CSVs are byte-identical across --x0 and only the config "
-                          "echo changes")
-    run.add_argument("--detunings", type=str, default=None,
-                     help="comma-separated per-qubit detunings in units of <s|v>/tau")
-    run.add_argument("--trials", type=int, default=None, help="Monte Carlo sample count")
-    run.add_argument("--sigma-grid", type=str, default=None,
-                     help="relative detuning spreads as a:b:step (units of the mean)")
-    run.add_argument("--omega-mean", type=float, default=None,
-                     help="mean detuning in units of <s|v>/tau")
-    run.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in output)")
-    run.add_argument("--t-max", type=float, default=None, help="time window end in units of tau")
-    run.add_argument("--grid-points", type=int, default=None, help="number of time samples")
-    run.add_argument("--m-max", type=int, default=None, help="largest qubit count (fig5)")
+    run.add_argument("scenario", choices=tuple(SCENARIOS))
+    for name, (kind, help_text) in _FLAGS.items():
+        run.add_argument("--" + name.replace("_", "-"), type=kind if kind in (int, float) else str,
+                         help=help_text)
     run.add_argument("--out", type=str, required=True, help="output path")
     run.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
-# The flags each scenario reads, besides --out and --format.
-_SCENARIO_FLAGS = {
-    "fig2": (),
-    "fig4": ("m", "x0", "detunings", "t_max", "grid_points"),
-    "fig5": ("m_max",),
-    "fig6": ("m", "x0", "detunings", "t_max", "grid_points"),
-    "fig7": ("m", "trials", "sigma_grid", "omega_mean", "seed", "grid_points"),
-}
-
-
 def _dispatch(args: argparse.Namespace) -> RunResult:
-    unused = [name for name, value in vars(args).items()
-              if value is not None and name not in ("command", "scenario", "out", "format")
-              and name not in _SCENARIO_FLAGS[args.scenario]]
-    if unused:
+    runner = SCENARIOS[args.scenario]
+    takes = inspect.signature(runner).parameters
+    given = {name: value for name in _FLAGS if (value := getattr(args, name)) is not None}
+    if unused := [name for name in given if name not in takes]:
         flags = ", ".join("--" + name.replace("_", "-") for name in unused)
         raise ValueError(f"{args.scenario} does not use {flags}")
-    pick = lambda value, default: default if value is None else value
-    if args.scenario == "fig2":
-        return scenario_fig2()
-    if args.scenario in ("fig4", "fig6"):
-        run, m = (scenario_fig4, 3) if args.scenario == "fig4" else (scenario_fig6, 8)
-        detunings = parse_detunings(args.detunings) if args.detunings else None
-        return run(pick(args.m, m), args.x0, detunings, args.t_max,
-                   pick(args.grid_points, DEFAULT_GRID_POINTS))
-    if args.scenario == "fig5":
-        return scenario_fig5(pick(args.m_max, 20))
-    if args.scenario == "fig7":
-        sigma_grid = parse_sigma_grid(pick(args.sigma_grid, DEFAULT_SIGMA_GRID))
-        return scenario_fig7(pick(args.m, 8), pick(args.trials, DEFAULT_TRIALS),
-                             pick(args.omega_mean, DEFAULT_OMEGA_MEAN), sigma_grid,
-                             pick(args.seed, DEFAULT_SEED),
-                             pick(args.grid_points, DEFAULT_GRID_POINTS))
-    raise ValueError(f"unknown scenario {args.scenario!r}")
+    return runner(**{name: _FLAGS[name][0](value) for name, value in given.items()})
 
 
 def cli_run(argv=None) -> int:

@@ -95,14 +95,18 @@ def grover_hamiltonian(inst: GroverInstance) -> GroverHamiltonian:
     return GroverHamiltonian(inst.m, inst.x0, op, 2.0 * inst.epsilon / inst.tau)
 
 
-def sign_columns(m: int, indices: np.ndarray) -> np.ndarray:
+def sign_columns(m: int, indices: np.ndarray | None = None) -> np.ndarray:
     """int8 table of s_i(x) = +1 if bit i of x is 0 else -1, a row per qubit
-    (qubit 1 the most significant bit) and a column per index x.  Raises
-    ValueError, before allocating, if the table and the int64 row it is
-    computed in would not fit in physical memory."""
-    _refuse_beyond_memory((m + 8) * indices.size, "the detuned series on {0} qubits",
-                          m, indices.size, detail=" for its sign table of {1} states (--m)")
-    signs = np.empty((m, indices.size), dtype=np.int8)
+    (qubit 1 the most significant bit) and a column per index x, by default
+    every one of the 2^m.  Raises ValueError, before allocating anything, if
+    the table and the int64 row it is computed in would not fit in physical
+    memory."""
+    states = 2**m if indices is None else indices.size
+    _refuse_beyond_memory((m + 8) * states, "the detuned series on {0} qubits",
+                          m, states, detail=" for its sign table of {1} states (--m)")
+    if indices is None:
+        indices = np.arange(states)
+    signs = np.empty((m, states), dtype=np.int8)
     for i, row in enumerate(signs, start=1):
         row[:] = 1 - 2 * ((indices >> (m - i)) & 1)
     return signs
@@ -120,14 +124,8 @@ def signed_detunings(omegas: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def detuning_diagonal(profile: DetuningProfile, m: int) -> np.ndarray:
-    """Diagonal of H_d on all 2^m basis states, the dense reference's input."""
-    return signed_detunings(profile.absolute(), sign_columns(m, np.arange(2**m)))
-
-
-def detuning_hamiltonian(profile: DetuningProfile, m: int) -> DenseOperator:
-    """H_d = sum_i omega_i sigma_z^(i) as a diagonal operator on m qubits."""
-    return DenseOperator(np.diag(detuning_diagonal(profile, m).astype(complex)),
-                         frozenset({"hermitian", "diagonal"}))
+    """Diagonal of H_d = sum_i omega_i sigma_z^(i) on all 2^m basis states."""
+    return signed_detunings(profile.absolute(), sign_columns(m))
 
 
 # The contour runs while N < 2K.  Eigenvalue path against contour, in ms on

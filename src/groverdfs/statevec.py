@@ -6,8 +6,8 @@ Conventions used throughout the package:
   the state |0011> has index 3 and qubit 4 is the least significant bit;
 * hbar = 1 and the elementary step time tau = 1, so Hamiltonians are
   dimensionless (units of hbar/tau) and times count elementary steps;
-* everything is stored dense (the systems of interest have at most ~10
-  qubits) and values are immutable after construction.
+* states and operators are stored dense and immutable; only the gates and
+  the reference paths build 2^m x 2^m matrices (the scenarios reach m = 16).
 """
 from __future__ import annotations
 
@@ -30,13 +30,6 @@ def _readonly_complex(values, shape) -> np.ndarray:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
     return arr
-
-
-def bit_at(x: int, position: int, num_qubits: int) -> int:
-    """Bit of qubit `position` (1 = most significant) in basis index `x`."""
-    if not 1 <= position <= num_qubits:
-        raise ValueError(f"qubit position {position} out of range 1..{num_qubits}")
-    return (x >> (num_qubits - position)) & 1
 
 
 @dataclass(frozen=True)
@@ -132,13 +125,6 @@ def basis_state(m: int, x: int) -> StateVector:
     return StateVector(m, amps)
 
 
-def apply(op: DenseOperator, psi: StateVector) -> StateVector:
-    """Matrix-vector product op @ psi as a new StateVector."""
-    if op.dim != psi.dim:
-        raise ValueError(f"operator dimension {op.dim} does not match state dimension {psi.dim}")
-    return StateVector(psi.num_qubits, op.matrix @ psi.amplitudes)
-
-
 def embed_single_qubit(op2: DenseOperator, m: int, i: int) -> DenseOperator:
     """Lift a one-qubit operator to qubit i of an m-qubit register.
 
@@ -152,13 +138,6 @@ def embed_single_qubit(op2: DenseOperator, m: int, i: int) -> DenseOperator:
     left = np.eye(2 ** (i - 1))
     right = np.eye(2 ** (m - i))
     return DenseOperator(np.kron(left, np.kron(op2.matrix, right)), op2.flags)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_x conj(a_x) b_x."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states act on different numbers of qubits")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 @lru_cache(maxsize=2)

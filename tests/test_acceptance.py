@@ -109,9 +109,9 @@ def test_a5_error_avoiding_exactness():
         code = dfs.balanced_code(m)
         clean = xp.encoded_grover_evolution(m, DetuningProfile.zeros(m))
         for omega in (0.1, 1.0, 10.0):
-            for op in (dfs.collective_z(m, omega * scale),
-                       ham.detuning_hamiltonian(DetuningProfile.equal(m, omega), m)):
-                cert = dfs.verify_error_free(code, op)
+            for diag in (dfs.collective_z(m, omega * scale),
+                         ham.detuning_diagonal(DetuningProfile.equal(m, omega), m)):
+                cert = dfs.verify_error_free(code, diag)
                 residual = max(cert.residual_norm, abs(cert.eigenvalue))
                 worst_residual = max(worst_residual, residual)
             run = xp.encoded_grover_evolution(m, DetuningProfile.equal(m, omega))

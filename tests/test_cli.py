@@ -1,11 +1,14 @@
+import functools
+import inspect
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from groverdfs import hamiltonian
-from groverdfs.experiments import cli_run
+from groverdfs import dfs, experiments, hamiltonian
+from groverdfs.experiments import RunResult, cli_run
 
 FAST_FIG7 = ["--trials", "5", "--sigma-grid", "0:0.4:0.2", "--seed", "11",
              "--grid-points", "120"]
@@ -85,6 +88,54 @@ def test_custom_detunings_flag(tmp_path):
                     "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "fig4.summary.json").read_text(encoding="utf-8"))
     assert summary["config"]["detunings"] == [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("scenario", ["fig4", "fig6"])
+def test_empty_detunings_exit_2(tmp_path, capsys, scenario):
+    # an empty value is parsed like any other, not taken for the default profile
+    assert run_cli([scenario, "--detunings", "", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "detunings must be a comma-separated list of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# The flags each scenario reads besides --out and --format, and a value of each.
+SCENARIO_FLAGS = {
+    "fig2": set(),
+    "fig4": {"m", "x0", "detunings", "t_max", "grid_points"},
+    "fig5": {"m_max"},
+    "fig6": {"m", "x0", "detunings", "t_max", "grid_points"},
+    "fig7": {"m", "trials", "sigma_grid", "omega_mean", "seed", "grid_points"},
+}
+FLAG_VALUES = {
+    "m": ("4", 4), "x0": ("1", 1), "detunings": ("0.1,0.2", (0.1, 0.2)), "trials": ("2", 2),
+    "sigma_grid": ("0:0.5:0.5", [0.0, 0.5]), "omega_mean": ("0.3", 0.3), "seed": ("5", 5),
+    "t_max": ("2.5", 2.5), "grid_points": ("20", 20), "m_max": ("6", 6),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_FLAGS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_a_flag_is_accepted_exactly_when_the_runner_takes_it(tmp_path, capsys, monkeypatch,
+                                                             scenario, flag):
+    runner = experiments.SCENARIOS[scenario]
+    assert set(inspect.signature(runner).parameters) == SCENARIO_FLAGS[scenario]
+    calls = []
+
+    @functools.wraps(runner)
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return RunResult({"scenario": scenario}, {"x": [0]})
+
+    monkeypatch.setitem(experiments.SCENARIOS, scenario, spy)
+    text, value = FLAG_VALUES[flag]
+    option = "--" + flag.replace("_", "-")
+    code = run_cli([scenario, option, text, "--out", str(tmp_path / "x.csv")])
+    if flag in SCENARIO_FLAGS[scenario]:
+        assert code == 0 and calls == [{flag: value}]
+    else:
+        assert code == 2 and not calls
+        err = capsys.readouterr().err
+        assert err == f"groverdfs: configuration error: {scenario} does not use {option}\n"
 
 
 def test_unknown_scenario_exits_2(tmp_path):
@@ -193,12 +244,39 @@ def test_oversized_time_grid_exits_2(tmp_path, capsys, monkeypatch):
      18 * 128, 128),
 ], ids=["fig4", "fig7"])
 def test_oversized_sign_table_exits_2(tmp_path, capsys, monkeypatch, args, need, states):
+    # the 10-qubit code, whose 252 words alone outweigh the probe, is built first
+    dfs.balanced_code(10)
     # ten int8 rows and one int64 row of states, a byte short
     monkeypatch.setattr(hamiltonian, "physical_memory", lambda: need - 1)
     assert run_cli([*args, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert (f"on 10 qubits needs {need} bytes for its sign table of {states} states (--m), "
             f"more than the {need - 1} bytes of physical memory") in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["fig4", "--m", "34"], "the detuned series on 34 qubits needs 721554505728 bytes for its "
+                            "sign table of 17179869184 states (--m)"),
+    # the unencoded series runs first, before the code's C(30, 15) words are built
+    (["fig6", "--m", "30"], "the detuned series on 30 qubits needs 40802189312 bytes for its "
+                            "sign table of 1073741824 states (--m)"),
+    (["fig7", "--m", "40", "--trials", "1", "--sigma-grid", "0:0:1"],
+     "the balanced code on 40 qubits needs 5513861152800 bytes for its 137846528820 words (--m)"),
+], ids=["fig4", "fig6", "fig7"])
+def test_oversized_qubit_count_exits_2_before_allocating(tmp_path, capsys, monkeypatch, args,
+                                                          message):
+    # an 8 GiB probe refuses each problem before its 2^m states or code words exist
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 2**33)
+    tracemalloc.start()
+    try:
+        code = run_cli([*args, "--out", str(tmp_path / "x.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"{message}, more than the 8589934592 bytes of physical memory" in capsys.readouterr().err
+    assert peak < 2**20
     assert not (tmp_path / "x.csv").exists()
 
 

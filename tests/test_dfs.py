@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groverdfs import dfs, gates
-from groverdfs.hamiltonian import DetuningProfile, detuning_hamiltonian
+from groverdfs import dfs, gates, hamiltonian
+from groverdfs.hamiltonian import DetuningProfile, detuning_diagonal
 from groverdfs.statevec import StateVector, basis_state, embed_single_qubit
 
 
@@ -144,7 +144,7 @@ def test_verify_error_free_equal_detunings():
 def test_verify_error_free_unequal_detunings_fails():
     code = dfs.balanced_code(4)
     profile = DetuningProfile((1.0, 2.0, 3.0, 4.0), scale=1.0)
-    cert = dfs.verify_error_free(code, detuning_hamiltonian(profile, 4))
+    cert = dfs.verify_error_free(code, detuning_diagonal(profile, 4))
     # code words |0011>, |0101>, |0110>, |1001> have eigenvalues -4, -2, 0, 0
     assert cert.eigenvalue == pytest.approx(-4.0)
     assert cert.residual_norm == pytest.approx(4.0)
@@ -152,9 +152,8 @@ def test_verify_error_free_unequal_detunings_fails():
 
 
 def test_verify_error_free_zero_operator():
-    from groverdfs.statevec import DenseOperator
     code = dfs.balanced_code(2)
-    cert = dfs.verify_error_free(code, DenseOperator(np.zeros((4, 4))))
+    cert = dfs.verify_error_free(code, np.zeros(4))
     assert cert.eigenvalue == 0
     assert cert.residual_norm == 0
     assert cert.is_valid
@@ -165,9 +164,40 @@ def test_verify_error_free_dimension_check():
         dfs.verify_error_free(dfs.balanced_code(4), dfs.collective_z(2))
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+def test_verify_error_free_matches_dense_reference(m, equal):
+    rng = np.random.default_rng(m)
+    code = dfs.balanced_code(m)
+    d = rng.normal(size=2**m)
+    if equal:
+        d[list(code.code_indices)] = d[code.code_indices[0]]
+    cert = dfs.verify_error_free(code, d)
+    # E V = c V with E = diag(d) and the dense isometry V
+    v = code.isometry
+    c = v[:, 0].conj() @ np.diag(d) @ v[:, 0]
+    residual = np.max(np.abs(np.diag(d) @ v - c * v))
+    assert cert.eigenvalue == c
+    assert cert.residual_norm == residual
+    assert cert.is_valid == equal
+    assert (residual == 0) == equal
+
+
+def test_balanced_code_refuses_words_beyond_memory(monkeypatch):
+    # 40 bytes a word: the C(12, 6) = 924 words need 36960 bytes; the cache is
+    # bypassed, so the check runs whatever earlier tests built
+    build = dfs.balanced_code.__wrapped__
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 36959)
+    with pytest.raises(ValueError, match=r"^the balanced code on 12 qubits needs 36960 bytes "
+                                         r"for its 924 words \(--m\), more than the 36959 "):
+        build(12)
+    monkeypatch.setattr(hamiltonian, "physical_memory", lambda: 36960)
+    assert build(12).dimension == 924
+
+
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10, 12])
 def test_balanced_states_are_null_space_of_collective_z(m):
-    diag = np.diag(dfs.collective_z(m, 0.8).matrix).real
+    diag = dfs.collective_z(m, 0.8)
     code = dfs.balanced_code(m)
     for b in code.basis_states:
         assert diag[b] == 0.0
@@ -178,13 +208,12 @@ def test_balanced_states_are_null_space_of_collective_z(m):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_collective_z_matches_embedded_sum(m):
     summed = sum(embed_single_qubit(gates.pauli("z"), m, i).matrix for i in range(1, m + 1))
-    assert np.array_equal(dfs.collective_z(m, 1.0).matrix, summed)
+    assert np.array_equal(np.diag(dfs.collective_z(m, 1.0)), summed)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_collective_z_matches_detuning_diagonal(m):
-    from groverdfs.hamiltonian import detuning_diagonal
-    dense = np.diag(dfs.collective_z(m, 0.8).matrix).real
+    dense = dfs.collective_z(m, 0.8)
     diag = detuning_diagonal(DetuningProfile.equal(m, 0.8), m) / (2.0 ** (-m / 2.0))
     assert np.allclose(dense, diag, atol=1e-13)
 

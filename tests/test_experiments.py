@@ -42,7 +42,7 @@ def test_encoded_run_peak_for_six_logical_qubits():
 def test_encoded_run_matches_lifted_complex_matrix():
     # independent route: build V H_L V^dag + H_d literally and evolve it
     from groverdfs import dfs, gates
-    from groverdfs.hamiltonian import detuning_hamiltonian
+    from groverdfs.hamiltonian import detuning_diagonal
     from groverdfs.statevec import DenseOperator, StateVector, evolve_grid
 
     m = 4
@@ -56,7 +56,7 @@ def test_encoded_run_matches_lifted_complex_matrix():
     s_l[0] = 1.0
     h_logical = 2j * eps * (np.outer(v_l, s_l) - np.outer(s_l, v_l))
     v_iso = code.isometry
-    h_phys = v_iso @ h_logical @ v_iso.conj().T + detuning_hamiltonian(profile, m).matrix
+    h_phys = v_iso @ h_logical @ v_iso.conj().T + np.diag(detuning_diagonal(profile, m))
     combined = DenseOperator(h_phys, frozenset({"hermitian"}))
     psi0 = StateVector(m, v_iso @ s_l)
     ts = result.column("t")
